@@ -150,7 +150,7 @@ let run_cell ~m ~dense_cap ~runs ~jobs =
     slots;
     injected;
     delivered;
-    error_bound = Tiled.max_row_bound tiled;
+    error_bound = Measure.error_bound sparse;
     sparse_sps = float_of_int slots /. sparse_t;
     par_jobs;
     par_sps;

@@ -15,8 +15,9 @@
      DPS_BENCH_JOBS fan-out (byte-identical rows either way);
    - stored entries per link and resident bytes per link (memory model);
    - the realized max row error bound (≤ ε by construction);
-   - tracker step throughput: Tracker.add/remove with a periodic
-     ‖W·R‖∞ query — the protocol's hot loop at scale;
+   - tracker step throughput: Load_tracker.add/remove on the tiled
+     measure with a periodic ‖W·R‖∞ query — the protocol's hot loop at
+     scale;
    - one full interference query, sequential and jobs-parallel.
 
    Dense linear_power is built only for m ≤ dense-cap (4096): above that
@@ -30,6 +31,7 @@
 
 open Common
 module Tiled = Dps_interference.Tiled
+module Load_tracker = Dps_interference.Load_tracker
 module Tiling = Dps_geometry.Tiling
 
 let epsilon = 0.1
@@ -65,31 +67,33 @@ let random_load m =
 (* Tracker hot loop: alternating add/remove over a stride-7919 link walk
    with a full ‖W·R‖∞ query every 64 updates. *)
 let step_run meas ~ops () =
-  let m = Tiled.size meas in
-  let tr = Tiled.Tracker.create meas in
+  let m = Measure.size meas in
+  let tr = Load_tracker.create meas in
   let acc = ref 0. in
   for i = 0 to ops - 1 do
     let e = i * 7919 mod m in
-    if i land 1 = 0 then Tiled.Tracker.add tr e else Tiled.Tracker.remove tr e;
-    if i land 63 = 63 then acc := !acc +. Tiled.Tracker.interference tr
+    if i land 1 = 0 then Load_tracker.add tr e else Load_tracker.remove tr e;
+    if i land 63 = 63 then acc := !acc +. Load_tracker.interference tr
   done;
   !acc
 
 let run_cell ~m ~dense_cap ~runs ~jobs =
   let phys = physics_for m in
   let build ~jobs () = Sinr_measure.linear_power_tiled ~jobs ~epsilon phys in
-  let meas, construct_s =
+  let nnz t = Measure.nnz (Tiled.as_measure t) in
+  let tiled, construct_s =
     Common.median_time ~warmup:1 ~runs (build ~jobs:1)
-      ~equal:(fun a b -> Tiled.nnz a = Tiled.nnz b)
+      ~equal:(fun a b -> nnz a = nnz b)
   in
+  let meas = Tiled.as_measure tiled in
   let par_jobs, par_construct_s =
     if jobs <= 1 then (0, 0.)
     else
       let par_meas, t =
         Common.median_time ~warmup:1 ~runs (build ~jobs)
-          ~equal:(fun a b -> Tiled.nnz a = Tiled.nnz b)
+          ~equal:(fun a b -> nnz a = nnz b)
       in
-      if Tiled.nnz par_meas <> Tiled.nnz meas then
+      if nnz par_meas <> Measure.nnz meas then
         failwith "exp_s1: parallel construction disagrees with sequential";
       (jobs, t)
   in
@@ -110,27 +114,28 @@ let run_cell ~m ~dense_cap ~runs ~jobs =
   let load = random_load m in
   let _, query_s =
     Common.median_time ~warmup:1 ~runs
-      (fun () -> Tiled.interference meas load)
+      (fun () -> Measure.interference meas load)
       ~equal:Float.equal
   in
   let par_query_s =
     if jobs <= 1 then 0.
     else
+      let par_meas = Tiled.as_measure ~jobs tiled in
       let v, t =
         Common.median_time ~warmup:1 ~runs
-          (fun () -> Tiled.interference ~jobs meas load)
+          (fun () -> Measure.interference par_meas load)
           ~equal:Float.equal
       in
-      if v <> Tiled.interference meas load then
+      if v <> Measure.interference meas load then
         failwith "exp_s1: parallel interference disagrees with sequential";
       t
   in
   { m;
-    tiles = Tiling.tiles (Tiled.tiling meas);
-    near = Tiled.near_radius meas;
-    nnz = Tiled.nnz meas;
-    bytes = Tiled.bytes meas;
-    max_row_bound = Tiled.max_row_bound meas;
+    tiles = Tiling.tiles (Tiled.tiling tiled);
+    near = Tiled.near_radius tiled;
+    nnz = Measure.nnz meas;
+    bytes = Tiled.bytes tiled;
+    max_row_bound = Measure.error_bound meas;
     construct_s;
     par_jobs;
     par_construct_s;

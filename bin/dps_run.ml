@@ -200,14 +200,14 @@ let run model_name topology algorithm_name rate epsilon frames flows adversary
     config.Protocol.cleanup_budget;
   Option.iter
     (fun tiled ->
-      let m = Tiled.size tiled in
+      let m = Measure.size measure in
       Printf.fprintf out
         "sparse: epsilon=%g tiles=%d near=%d nnz=%d (dense %d) \
          max-row-bound=%.3g\n"
         (Tiled.epsilon tiled)
         (Tiling.tiles (Tiled.tiling tiled))
-        (Tiled.near_radius tiled) (Tiled.nnz tiled) (m * m)
-        (Tiled.max_row_bound tiled))
+        (Tiled.near_radius tiled) (Measure.nnz measure) (m * m)
+        (Measure.error_bound measure))
     tiled;
   let source =
     match adversary with

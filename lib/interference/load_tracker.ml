@@ -1,16 +1,20 @@
 module Par = Dps_par.Par
 
-type backing = Measure.t
-
 type t = {
   measure : Measure.t;
   jobs : int;  (* default fan-out for stale rescans *)
   par_threshold : int;  (* rescan sequentially below this many touched rows *)
-  load : float array;  (* R *)
-  wr : float array;  (* W·R, maintained incrementally *)
-  link_touched : bool array;
+  (* The four per-link arrays are allocated by the first update, so
+     [create] allocates O(1): a tracker that never sees a load, like the
+     failed-buffer tracker of a protocol without phase-1 failures, costs
+     nothing, and restoring a channel and protocol stays cheap. *)
+  mutable load : float array;  (* R *)
+  mutable wr : float array;  (* W·R, maintained incrementally *)
+  (* Touched flags, one byte per link: '\001' once touched since the last
+     reset. *)
+  mutable link_touched : Bytes.t;
   mutable touched_links : int list;
-  row_touched : bool array;
+  mutable row_touched : Bytes.t;
   mutable touched_rows : int list;
   mutable touched_rows_n : int;
   (* Cached argmax of wr. When an update lowers wr at the cached argmax the
@@ -25,15 +29,14 @@ let default_par_threshold = 4096
 
 let create ?(jobs = 1) ?(par_threshold = default_par_threshold) measure =
   if jobs < 1 then invalid_arg "Load_tracker.create: jobs must be >= 1";
-  let m = Measure.size measure in
   { measure;
     jobs;
     par_threshold;
-    load = Array.make m 0.;
-    wr = Array.make m 0.;
-    link_touched = Array.make m false;
+    load = [||];
+    wr = [||];
+    link_touched = Bytes.empty;
     touched_links = [];
-    row_touched = Array.make m false;
+    row_touched = Bytes.empty;
     touched_rows = [];
     touched_rows_n = 0;
     max_val = 0.;
@@ -41,21 +44,37 @@ let create ?(jobs = 1) ?(par_threshold = default_par_threshold) measure =
     stale = false }
 
 let measure t = t.measure
-let size t = Array.length t.load
+let size t = Measure.size t.measure
+let allocated t = Array.length t.load > 0
 
-let load t e = t.load.(e)
-let load_vector t = Array.copy t.load
+(* Before the first update every link reads 0. This cold path is kept
+   out of [load] and [interference_at], which are inlined into the
+   admission and channel loops. *)
+let unallocated t e =
+  if e < 0 || e >= size t then invalid_arg "index out of bounds" else 0.
+
+let[@inline] load t e = if allocated t then t.load.(e) else unallocated t e
+
+let load_vector t =
+  if allocated t then Array.copy t.load else Array.make (size t) 0.
 
 let add_scaled t e c =
   if c <> 0. then begin
-    if not t.link_touched.(e) then begin
-      t.link_touched.(e) <- true;
+    if not (allocated t) then begin
+      let m = size t in
+      t.load <- Array.make m 0.;
+      t.wr <- Array.make m 0.;
+      t.link_touched <- Bytes.make m '\000';
+      t.row_touched <- Bytes.make m '\000'
+    end;
+    if Bytes.get t.link_touched e = '\000' then begin
+      Bytes.set t.link_touched e '\001';
       t.touched_links <- e :: t.touched_links
     end;
     t.load.(e) <- t.load.(e) +. c;
     Measure.iter_column t.measure e (fun row w ->
-        if not t.row_touched.(row) then begin
-          t.row_touched.(row) <- true;
+        if Bytes.get t.row_touched row = '\000' then begin
+          Bytes.set t.row_touched row '\001';
           t.touched_rows <- row :: t.touched_rows;
           t.touched_rows_n <- t.touched_rows_n + 1
         end;
@@ -73,7 +92,8 @@ let add_scaled t e c =
 let add t e = add_scaled t e 1.
 let remove t e = add_scaled t e (-1.)
 
-let interference_at t e = t.wr.(e)
+let[@inline] interference_at t e =
+  if allocated t then t.wr.(e) else unallocated t e
 
 let max_load t =
   let best = ref 0. in
@@ -152,13 +172,13 @@ let reset t =
   List.iter
     (fun e ->
       t.load.(e) <- 0.;
-      t.link_touched.(e) <- false)
+      Bytes.set t.link_touched e '\000')
     t.touched_links;
   t.touched_links <- [];
   List.iter
     (fun row ->
       t.wr.(row) <- 0.;
-      t.row_touched.(row) <- false)
+      Bytes.set t.row_touched row '\000')
     t.touched_rows;
   t.touched_rows <- [];
   t.touched_rows_n <- 0;

@@ -8,10 +8,9 @@
     O(1) amortized (a query after the cached argmax row decreased rescans
     the touched rows — the epoch scan; rows never touched are exactly 0).
 
-    The backend is whatever {!Measure.t} wraps: the dense CSR/CSC packing
-    or an external sparse engine ({!Tiled.as_measure}) — the tracker only
-    ever asks for columns, so it is exact for both and is the single
-    implementation behind {!Tracker_intf.S}.
+    The tracker only ever asks the measure for columns, so it runs
+    unchanged on every {!Measure.t}, an ε-sparsified {!Tiled.as_measure}
+    included.
 
     Stale-epoch rescans can fan out over {!Dps_par.Par} when the tracker
     was created with [jobs > 1] (or per query via [?jobs]): the touched
@@ -28,11 +27,9 @@
 
 type t
 
-(** The backend type, for {!Tracker_intf.S} conformance. *)
-type backing = Measure.t
-
-(** A fresh tracker over the all-zero load. Forces the measure's column
-    (CSC) index on first update: O(m + nnz) once. [jobs] (default 1) is
+(** A fresh tracker over the all-zero load, in O(1): the per-link state
+    is allocated by the first update, which also forces the measure's
+    column (CSC) index (O(m + nnz) once per measure). [jobs] (default 1) is
     the fan-out for stale rescans; [par_threshold] (default 4096) is the
     touched-row count below which rescans stay sequential even when
     [jobs > 1]. Raises [Invalid_argument] on [jobs < 1]. *)
@@ -65,7 +62,7 @@ val load_vector : t -> float array
 
 (** [‖R‖∞] of the current load (max over links touched since the last
     reset; never below [0.]). O(touched links) — pairs with
-    {!Measure.error_bound} to bound a sparse backend's slack:
+    {!Measure.error_bound} to bound a sparse measure's slack:
     the dense interference exceeds {!interference} by at most
     [Measure.error_bound m ·  max_load t]. *)
 val max_load : t -> float

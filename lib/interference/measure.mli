@@ -9,40 +9,43 @@
 
     Instantiating [W] recovers packet routing (identity), the multiple-access
     channel (all ones), SINR affectance matrices ({!Dps_sinr.Sinr_measure}),
-    and conflict graphs ({!Conflict_graph.to_measure}).
+    conflict graphs ({!Conflict_graph.to_measure}) and the ε-sparsified
+    tiled affectance matrix ({!Tiled}).
 
-    Rows are stored sparsely (zero entries dropped) in a CSR packing —
-    one flat id array and one flat weight array per matrix — so
-    conflict-graph measures stay linear in the number of conflicts and row
-    scans are cache-friendly. A transposed (CSC) index is materialized
-    lazily the first time a column is scanned; {!Load_tracker} uses it to
-    push single-link load changes to the affected rows in
-    O(nnz(column)).
+    Every [W] has the same representation: sparse rows (zero entries
+    dropped) in a CSR packing over two flat [Bigarray] slabs, int32
+    column ids and float64 weights, so conflict-graph measures stay
+    linear in the number of conflicts and row scans are cache-friendly.
+    Rows may be stored in a permuted order split into groups ({!of_slabs}):
+    {!Tiled} stores them tile-major, one group per tile, and
+    {!interference} then fans out over the groups. A transposed (CSC)
+    index is built lazily the first time a column is scanned;
+    {!Load_tracker} uses it to push single-link load changes to the
+    affected rows in O(nnz(column)). Row and column iteration visit ids
+    in ascending order whatever the storage order, so an exact permuted
+    measure behaves byte-identically to its unpermuted equal.
 
-    A measure may also wrap an {e external} backend ({!of_ext}): a record
-    of closures delegating every operation, used by {!Tiled.as_measure} to
-    run the whole protocol stack on the ε-sparsified slab engine without
-    densifying. External backends follow the same semantics — column
-    iteration in ascending link-id order included, so an exact (ε = 0)
-    external measure behaves byte-identically to its dense equivalent —
-    and additionally record an {!error_bound}: how far below the true
-    dense value their interference answers may fall. *)
+    A measure also records an {!error_bound}: how far below the true
+    dense value its interference answers may fall. It is [0.] for every
+    constructor here and positive for an ε-sparsified {!Tiled} build. *)
 
 type t
 
 (** Number of links [m]. *)
 val size : t -> int
 
-(** [identity m] — packet-routing networks: [I] is the congestion. *)
+(** [identity m] — packet-routing networks: [I] is the congestion.
+    Raises [Invalid_argument] if [m <= 0]. *)
 val identity : int -> t
 
 (** [complete m] — the multiple-access channel: [I] is the total number of
-    packets. *)
+    packets. Raises [Invalid_argument] if [m <= 0]. *)
 val complete : int -> t
 
 (** [of_function ~m f] materializes [W(e, e') = f e e'] for all pairs,
     dropping zeros and clamping into [0, 1]. The diagonal is forced to [1]
-    as the model requires. O(m²). *)
+    as the model requires. O(m²). Raises [Invalid_argument] if
+    [m <= 0]. *)
 val of_function : m:int -> (int -> int -> float) -> t
 
 (** [of_rows ?m rows] builds the measure from explicit sparse rows:
@@ -54,6 +57,38 @@ val of_function : m:int -> (int -> int -> float) -> t
     size mismatch, an empty [rows], out-of-range ids, duplicates in a
     row, or weights outside (0, 1] (NaN included). *)
 val of_rows : ?m:int -> (int * float) list array -> t
+
+(** The column-id slab: int32 link ids. *)
+type cols = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(** The weight slab: float64 entries. *)
+type weights =
+  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(** [of_slabs ~pos ~row_ptr ~cols ~weights ~groups ~row_error] — a
+    measure over prebuilt slabs, taken over without copying. Link [e]'s
+    row is storage row [r = pos.(e)], stored at offsets [row_ptr.(r)]
+    to [row_ptr.(r+1) - 1] of [cols]/[weights] with ids strictly
+    ascending, weights in (0, 1] and the diagonal stored as 1.
+    [groups] lists storage-row boundaries [0 = g0 ≤ g1 ≤ … = m]; a
+    [jobs > 1] {!interference} evaluates one group per task.
+    [row_error.(e) ≥ 0] is row [e]'s slack (see {!row_error}). Raises
+    [Invalid_argument] when any of this does not hold. O(m + nnz). *)
+val of_slabs :
+  pos:int array ->
+  row_ptr:int array ->
+  cols:cols ->
+  weights:weights ->
+  groups:int array ->
+  row_error:float array ->
+  t
+
+(** [with_jobs jobs t] — [t] with whole-vector {!interference} fanned
+    out over [jobs] domains (default for every constructor: 1); results
+    are byte-identical in [jobs]. O(1): the copy shares [t]'s slabs and
+    its lazily built transpose, and is [t] itself when [jobs] is already
+    [t]'s. Raises [Invalid_argument] on [jobs < 1]. *)
+val with_jobs : int -> t -> t
 
 (** [weight t e e'] is [W(e, e')] ([0.] where absent). *)
 val weight : t -> int -> int -> float
@@ -90,11 +125,14 @@ val column_nnz : t -> int -> int
     reuse it. *)
 val iter_column : t -> int -> (int -> float -> unit) -> unit
 
-(** [interference_at t load e] is [(W · load)(e)]. [load] must have length
-    [m]. *)
+(** [interference_at t load e] is [(W · load)(e)], summed in ascending
+    column order. Raises [Invalid_argument "Measure: load length mismatch"]
+    unless [load] has length [m]. *)
 val interference_at : t -> float array -> int -> float
 
-(** [interference t load] is [I = ||W · load||_inf]. *)
+(** [interference t load] is [I = ||W · load||_inf], never below [0.];
+    byte-identical whatever the {!with_jobs} fan-out. Same length check
+    as {!interference_at}. *)
 val interference : t -> float array -> float
 
 (** [interference_of_counts t counts] — same with integer per-link packet
@@ -105,42 +143,12 @@ val interference_of_counts : t -> int array -> float
     a unit load on every link. *)
 val max_row_sum : t -> float
 
-(** [of_ext ~m … ()] wraps an external interference backend as a measure.
-    Every closure must honour the dense contract documented on the
-    corresponding accessor above; in particular [iter_row]/[iter_column]
-    must visit entries in ascending id order and [ensure_transpose] must
-    be idempotent and safe to call before a parallel fan-out.
-    [error_bound] is the backend's global slack: for any load vector [R],
-    the true dense interference exceeds the backend's answer by at most
-    [error_bound · ||R||_inf] (per-row refinement via [row_error]).
-    Raises [Invalid_argument] if [m <= 0] or [error_bound < 0]. *)
-val of_ext :
-  m:int ->
-  nnz:(unit -> int) ->
-  row_nnz:(int -> int) ->
-  iter_row:(int -> (int -> float -> unit) -> unit) ->
-  weight:(int -> int -> float) ->
-  ensure_transpose:(unit -> unit) ->
-  column_nnz:(int -> int) ->
-  iter_column:(int -> (int -> float -> unit) -> unit) ->
-  interference_at:(float array -> int -> float) ->
-  interference:(float array -> float) ->
-  max_row_sum:(unit -> float) ->
-  error_bound:float ->
-  row_error:(int -> float) ->
-  unit ->
-  t
-
-(** Whether this measure is backed by the dense CSR packing (true) or an
-    external backend (false). Dense measures are exact; sparse scenario
-    builds assert on this to prove no densification happened. *)
-val is_dense : t -> bool
-
 (** Global underestimation slack: the true interference of any load [R]
     exceeds [interference t R] by at most [error_bound t · ||R||_inf].
-    [0.] for dense measures — their answers are exact. *)
+    [0.] for exact measures. *)
 val error_bound : t -> float
 
 (** [row_error t e] — per-row slack: the dense [(W·R)(e)] exceeds the
-    backend's by at most [row_error t e · ||R||_inf]. [0.] for dense. *)
+    stored row's by at most [row_error t e · ||R||_inf]. [0.] for exact
+    measures. *)
 val row_error : t -> int -> float

@@ -1,8 +1,9 @@
 (* ε-sparsified interference measure over a spatial tiling.
 
-   Rows live in flat Bigarray slabs (int32 column ids + float64 weights),
-   grouped tile-major so one tile's working set is contiguous. Entries are
-   dropped under a two-level budget, ε/2 each (docs/SCALING.md):
+   [create] fills the slabs of one Measure.t: rows grouped tile-major so a
+   tile's working set is contiguous, one storage-row group per occupied
+   tile. Entries are dropped under a two-level budget, ε/2 each
+   (docs/SCALING.md):
 
    - far field: a global chebyshev tile radius [near] is chosen so that, for
      every tile, the decay bound summed over all points beyond the window is
@@ -10,64 +11,38 @@
    - near field: inside the window, entries ≤ θ = (ε/2)/(window − 1) are
      dropped with their exact mass accumulated per row.
 
-   The per-row sum of dropped mass (exact near mass + far-field bound) is
-   recorded in [row_bound], so for any load R ≥ 0
+   The per-row sum of dropped mass (exact near mass + far-field bound)
+   becomes the measure's row_error, so for any load R ≥ 0
 
-     0 ≤ I_dense(R) − I_sparse(R) ≤ max_row_bound · ‖R‖∞ ≤ ε · ‖R‖∞
+     0 ≤ I_dense(R) − I_sparse(R) ≤ error_bound · ‖R‖∞ ≤ ε · ‖R‖∞
 
    where I_dense is the measure [Measure.of_function] would build from the
-   same clamped gain. All parallel steps return per-tile values that the
-   caller folds in fixed tile order, so results are byte-identical in
+   same clamped gain. Construction returns per-tile values that are
+   assembled in fixed tile order, so the result is byte-identical in
    [jobs] (the Dps_par.Par contract). *)
 
 module Tiling = Dps_geometry.Tiling
 module Par = Dps_par.Par
 
-type cols_slab = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-type wts_slab = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(* CSC view of the slabs, built lazily on first column access. Columns
-   are filled scanning links in ascending id order (via pos), so each
-   column lists its rows ascending by link id — exactly the dense
-   [Measure] transpose order, which keeps Load_tracker's column-push
-   summation order (and hence every float) identical to the dense
-   backend at ε = 0. *)
-type transpose = {
-  col_ptr : int array;  (* length m+1 *)
-  t_rows : cols_slab;  (* link ids, ascending inside a column *)
-  t_wts : wts_slab;
-}
-
 type t = {
-  m : int;
+  measure : Measure.t;
   tiling : Tiling.t;
   epsilon : float;
   near : int;
-  order : int array;  (* slab row -> link id (tile-major) *)
-  pos : int array;  (* link id -> slab row *)
-  row_ptr : int array;  (* length m+1: slab row -> slab offset *)
-  cols : cols_slab;  (* link ids, ascending inside a row *)
-  wts : wts_slab;
-  tile_rows : int array;  (* tile -> first slab row; length tiles+1 *)
-  nonempty : int list;  (* occupied tiles, ascending *)
-  row_bound : float array;  (* link id -> dropped-mass bound *)
-  max_row_bound : float;
-  mutable transposed : transpose option;
 }
 
-let size t = t.m
-let nnz t = t.row_ptr.(t.m)
 let epsilon t = t.epsilon
 let near_radius t = t.near
 let tiling t = t.tiling
-let row_bound t e = t.row_bound.(e)
-let max_row_bound t = t.max_row_bound
 
 let bytes t =
-  let n = nnz t in
-  (* cols (4) + wts (8) per entry; row_ptr/order/pos/row_bound per link;
-     tile_rows per tile. *)
-  (12 * n) + (8 * (t.m + 1)) + (24 * t.m) + (8 * (Tiling.tiles t.tiling + 1))
+  let m = Measure.size t.measure in
+  (* cols (4) + weights (8) per entry; row_ptr/pos/row_error per link;
+     group boundaries per tile. *)
+  (12 * Measure.nnz t.measure)
+  + (8 * (m + 1))
+  + (16 * m)
+  + (8 * (Tiling.tiles t.tiling + 1))
 
 let clamp_weight who w =
   if Float.is_nan w then invalid_arg (who ^ ": gain returned NaN");
@@ -182,15 +157,11 @@ let create ?(jobs = 1) ?cell ~epsilon ~points ~gain ~bound () =
     List.fold_left (fun acc (_, _, c, _) -> acc + Array.length c) 0 built
   in
   let row_ptr = Array.make (m + 1) 0 in
-  let cols = Bigarray.(Array1.create int32 c_layout (Int.max total 1)) in
-  let wts = Bigarray.(Array1.create float64 c_layout (Int.max total 1)) in
-  let order = Array.make m 0 in
+  let cols = Bigarray.(Array1.create int32 c_layout total) in
+  let wts = Bigarray.(Array1.create float64 c_layout total) in
   let pos = Array.make m 0 in
   let row_bound = Array.make m 0. in
-  let tile_rows = Array.make (ntiles + 1) 0 in
-  for a = 0 to ntiles - 1 do
-    tile_rows.(a + 1) <- tile_rows.(a) + Tiling.occupancy tiling a
-  done;
+  let groups = ref [ 0 ] in
   let k = ref 0 in
   let r = ref 0 in
   List.iter2
@@ -198,7 +169,6 @@ let create ?(jobs = 1) ?cell ~epsilon ~points ~gain ~bound () =
       let src = ref 0 in
       let ri = ref 0 in
       Tiling.iter_members tiling a (fun e ->
-          order.(!r) <- e;
           pos.(e) <- !r;
           row_ptr.(!r) <- !k;
           row_bound.(e) <- bounds.(!ri);
@@ -209,189 +179,15 @@ let create ?(jobs = 1) ?cell ~epsilon ~points ~gain ~bound () =
           done;
           src := !src + row_len.(!ri);
           incr ri;
-          incr r))
+          incr r);
+      groups := !r :: !groups)
     nonempty built;
   row_ptr.(m) <- !k;
-  let max_row_bound = Array.fold_left Float.max 0. row_bound in
-  { m;
-    tiling;
-    epsilon;
-    near;
-    order;
-    pos;
-    row_ptr;
-    cols;
-    wts;
-    tile_rows;
-    nonempty;
-    row_bound;
-    max_row_bound;
-    transposed = None }
-
-let row_nnz t e =
-  let r = t.pos.(e) in
-  t.row_ptr.(r + 1) - t.row_ptr.(r)
-
-let iter_row t e f =
-  let r = t.pos.(e) in
-  for k = t.row_ptr.(r) to t.row_ptr.(r + 1) - 1 do
-    f (Int32.to_int (Bigarray.Array1.unsafe_get t.cols k))
-      (Bigarray.Array1.unsafe_get t.wts k)
-  done
-
-let dot_row t load r =
-  let acc = ref 0. in
-  for k = t.row_ptr.(r) to t.row_ptr.(r + 1) - 1 do
-    let c = Int32.to_int (Bigarray.Array1.unsafe_get t.cols k) in
-    acc := !acc +. (Bigarray.Array1.unsafe_get t.wts k *. Array.unsafe_get load c)
-  done;
-  !acc
-
-let interference_at t load e =
-  if Array.length load <> t.m then
-    invalid_arg "Tiled.interference_at: load length mismatch";
-  dot_row t load t.pos.(e)
-
-let tile_max t load a =
-  let best = ref 0. in
-  for r = t.tile_rows.(a) to t.tile_rows.(a + 1) - 1 do
-    let v = dot_row t load r in
-    if v > !best then best := v
-  done;
-  !best
-
-let interference ?(jobs = 1) t load =
-  if Array.length load <> t.m then
-    invalid_arg "Tiled.interference: load length mismatch";
-  let per_tile = Par.map ~jobs (fun a -> tile_max t load a) t.nonempty in
-  List.fold_left Float.max 0. per_tile
-
-let weight t e e' =
-  let r = t.pos.(e) in
-  (* Slab rows are sorted by link id: binary search inside the row. *)
-  let rec search lo hi =
-    if lo > hi then 0.
-    else
-      let mid = (lo + hi) / 2 in
-      let id = Int32.to_int (Bigarray.Array1.unsafe_get t.cols mid) in
-      if id = e' then Bigarray.Array1.unsafe_get t.wts mid
-      else if id < e' then search (mid + 1) hi
-      else search lo (mid - 1)
+  let measure =
+    Measure.of_slabs ~pos ~row_ptr ~cols ~weights:wts
+      ~groups:(Array.of_list (List.rev !groups))
+      ~row_error:row_bound
   in
-  search t.row_ptr.(r) (t.row_ptr.(r + 1) - 1)
+  { measure; tiling; epsilon; near }
 
-let max_row_sum t =
-  let best = ref 0. in
-  for r = 0 to t.m - 1 do
-    let s = ref 0. in
-    for k = t.row_ptr.(r) to t.row_ptr.(r + 1) - 1 do
-      s := !s +. Bigarray.Array1.unsafe_get t.wts k
-    done;
-    if !s > !best then best := !s
-  done;
-  !best
-
-(* Counting-sort CSC, scattering links in ascending id order so each
-   column's row list comes out sorted by link id (see [transpose]'s type
-   comment — this is what makes ε = 0 byte-identical to dense under
-   Load_tracker). *)
-let transpose t =
-  match t.transposed with
-  | Some tr -> tr
-  | None ->
-    let n = t.row_ptr.(t.m) in
-    let col_ptr = Array.make (t.m + 1) 0 in
-    for k = 0 to n - 1 do
-      let c = Int32.to_int (Bigarray.Array1.unsafe_get t.cols k) in
-      col_ptr.(c + 1) <- col_ptr.(c + 1) + 1
-    done;
-    for c = 1 to t.m do
-      col_ptr.(c) <- col_ptr.(c) + col_ptr.(c - 1)
-    done;
-    let next = Array.copy col_ptr in
-    let t_rows = Bigarray.(Array1.create int32 c_layout (Int.max n 1)) in
-    let t_wts = Bigarray.(Array1.create float64 c_layout (Int.max n 1)) in
-    for e = 0 to t.m - 1 do
-      let r = t.pos.(e) in
-      for k = t.row_ptr.(r) to t.row_ptr.(r + 1) - 1 do
-        let c = Int32.to_int (Bigarray.Array1.unsafe_get t.cols k) in
-        let slot = next.(c) in
-        Bigarray.Array1.unsafe_set t_rows slot (Int32.of_int e);
-        Bigarray.Array1.unsafe_set t_wts slot
-          (Bigarray.Array1.unsafe_get t.wts k);
-        next.(c) <- slot + 1
-      done
-    done;
-    let tr = { col_ptr; t_rows; t_wts } in
-    t.transposed <- Some tr;
-    tr
-
-let ensure_transpose t = ignore (transpose t)
-
-let column_nnz t e' =
-  let tr = transpose t in
-  tr.col_ptr.(e' + 1) - tr.col_ptr.(e')
-
-let iter_column t e' f =
-  let tr = transpose t in
-  for k = tr.col_ptr.(e') to tr.col_ptr.(e' + 1) - 1 do
-    f (Int32.to_int (Bigarray.Array1.unsafe_get tr.t_rows k))
-      (Bigarray.Array1.unsafe_get tr.t_wts k)
-  done
-
-let as_measure ?(jobs = 1) t =
-  if jobs < 1 then invalid_arg "Tiled.as_measure: jobs must be >= 1";
-  Measure.of_ext ~m:t.m
-    ~nnz:(fun () -> nnz t)
-    ~row_nnz:(row_nnz t) ~iter_row:(iter_row t) ~weight:(weight t)
-    ~ensure_transpose:(fun () -> ensure_transpose t)
-    ~column_nnz:(column_nnz t) ~iter_column:(iter_column t)
-    ~interference_at:(fun load e -> interference_at t load e)
-    ~interference:(fun load -> interference ~jobs t load)
-    ~max_row_sum:(fun () -> max_row_sum t)
-    ~error_bound:t.max_row_bound
-    ~row_error:(fun e -> t.row_bound.(e))
-    ()
-
-let to_measure t =
-  let rows = Array.make t.m [] in
-  for r = t.m - 1 downto 0 do
-    let e = t.order.(r) in
-    let entries = ref [] in
-    for k = t.row_ptr.(r + 1) - 1 downto t.row_ptr.(r) do
-      let c = Int32.to_int (Bigarray.Array1.unsafe_get t.cols k) in
-      if c <> e then
-        entries := (c, Bigarray.Array1.unsafe_get t.wts k) :: !entries
-    done;
-    rows.(e) <- !entries
-  done;
-  Measure.of_rows ~m:t.m rows
-
-type measure = t
-
-(* The incremental tracker is Load_tracker over the [as_measure] view:
-   column pushes cost O(nnz(column)), reset is sparse, and the tracked
-   value is the exact sparse interference — the earlier dirty-tile
-   recomputation had O(occupied-tiles) resets and re-derived row dots in
-   slab order, which broke ε = 0 byte-identity with the dense backend. *)
-module Tracker = struct
-  type nonrec t = { meas : measure; lt : Load_tracker.t }
-  type backing = measure
-
-  let create ?jobs meas =
-    { meas; lt = Load_tracker.create ?jobs (as_measure ?jobs meas) }
-
-  let measure tr = tr.meas
-  let load tr e = Load_tracker.load tr.lt e
-
-  let add_scaled tr e c =
-    if e < 0 || e >= tr.meas.m then
-      invalid_arg "Tiled.Tracker: link out of range";
-    Load_tracker.add_scaled tr.lt e c
-
-  let add tr e = add_scaled tr e 1.
-  let remove tr e = add_scaled tr e (-1.)
-  let interference_at tr e = Load_tracker.interference_at tr.lt e
-  let interference ?jobs tr = Load_tracker.interference ?jobs tr.lt
-  let reset tr = Load_tracker.reset tr.lt
-end
+let as_measure ?(jobs = 1) t = Measure.with_jobs jobs t.measure

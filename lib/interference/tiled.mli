@@ -13,20 +13,21 @@
     - {b near field}: inside the window, entries ≤ θ = (ε/2)/(window−1)
       are dropped with their {e exact} mass accumulated per row.
 
-    The per-row dropped mass (exact near mass + far-field bound) is
-    recorded: for every load [R ≥ 0] and every link [e],
+    The result is an ordinary {!Measure.t} ({!as_measure}) whose
+    per-row dropped mass (exact near mass + far-field bound) is its
+    {!Measure.row_error}: for every load [R ≥ 0] and every link [e],
 
-    {[ 0 ≤ (W_dense · R)(e) − (W_sparse · R)(e) ≤ row_bound e · ‖R‖∞ ]}
+    {[ 0 ≤ (W_dense · R)(e) − (W_sparse · R)(e) ≤ row_error e · ‖R‖∞ ]}
 
-    and [row_bound e ≤ max_row_bound ≤ ε], where [W_dense] is the matrix
-    {!Measure.of_function} would build from the same clamped gain. With
-    [epsilon = 0.] the sparse measure is exactly the dense one.
+    and [row_error e ≤ Measure.error_bound ≤ ε], where [W_dense] is the
+    matrix {!Measure.of_function} would build from the same clamped gain.
+    With [epsilon = 0.] the sparse measure is exactly the dense one.
 
-    Rows are stored in flat [Bigarray] slabs (int32 column ids + float64
-    weights), grouped tile-major so a tile's working set is contiguous.
-    Construction and {!interference} fan out per tile over
-    {!Dps_par.Par} and fold the per-tile results in fixed tile order —
-    results are byte-identical whatever [jobs] is
+    Rows are stored tile-major ({!Measure.of_slabs}) so a tile's working
+    set is contiguous, one storage-row group per occupied tile.
+    Construction and whole-vector [Measure.interference] fan out per tile
+    over {!Dps_par.Par} and fold the per-tile results in fixed tile
+    order — results are byte-identical whatever [jobs] is
     (docs/PARALLELISM.md). *)
 
 type t
@@ -61,12 +62,6 @@ val create :
   unit ->
   t
 
-(** Number of links [m]. *)
-val size : t -> int
-
-(** Stored entries in the whole matrix. *)
-val nnz : t -> int
-
 (** The ε the measure was built with. *)
 val epsilon : t -> float
 
@@ -76,114 +71,16 @@ val near_radius : t -> int
 (** The underlying spatial tiling (links indexed as points). *)
 val tiling : t -> Dps_geometry.Tiling.t
 
-(** [row_bound t e] — the recorded bound on row [e]'s dropped mass:
-    [(W_dense · R)(e) − (W_sparse · R)(e) ≤ row_bound t e · ‖R‖∞ ]. *)
-val row_bound : t -> int -> float
-
-(** Largest {!row_bound} over all rows; at most [epsilon t]. *)
-val max_row_bound : t -> float
-
 (** Approximate resident size of the measure in bytes (slabs + per-link
     and per-tile index arrays) — the memory model of docs/SCALING.md. *)
 val bytes : t -> int
 
-(** Stored entries in row [e]. *)
-val row_nnz : t -> int -> int
-
-(** [iter_row t e f] calls [f e' w] for every stored entry of row [e],
-    in ascending [e'] order, without allocating. *)
-val iter_row : t -> int -> (int -> float -> unit) -> unit
-
-(** [interference_at t load e] is [(W_sparse · load)(e)]. [load] must
-    have length [m]. *)
-val interference_at : t -> float array -> int -> float
-
-(** [interference ?jobs t load] is [‖W_sparse · load‖∞], computed
-    tile-parallel; byte-identical for every [jobs]. *)
-val interference : ?jobs:int -> t -> float array -> float
-
-(** [weight t e e'] is the stored [W_sparse(e, e')] ([0.] where the
-    entry was dropped or never built). O(log row_nnz). *)
-val weight : t -> int -> int -> float
-
-(** Largest stored row sum [max_e Σ_e' W_sparse(e, e')]. *)
-val max_row_sum : t -> float
-
-(** Build the CSC (column) index now if it does not exist yet
-    (idempotent, O(m + nnz), stored in Bigarray slabs). Like
-    {!Measure.ensure_transpose}, force it before sharing the measure
-    across domains. *)
-val ensure_transpose : t -> unit
-
-(** Stored entries in column [e'] (forces the column index). *)
-val column_nnz : t -> int -> int
-
-(** [iter_column t e' f] calls [f e w] for every stored
-    [W_sparse(e, e') = w], in ascending [e] order — the same order as the
-    dense {!Measure.iter_column}, so incremental consumers sum in the
-    same float order and ε = 0 stays byte-identical to dense. *)
-val iter_column : t -> int -> (int -> float -> unit) -> unit
-
-(** [as_measure ?jobs t] — the sparse engine as a first-class
-    {!Measure.t} ({!Measure.of_ext}), sharing [t]'s slabs: no
-    densification, O(1) to build. The whole protocol stack (trackers,
-    static algorithms, channel, serving) runs on it directly;
-    [Measure.error_bound] reports {!max_row_bound} and
-    [Measure.row_error] the per-row {!row_bound}. [jobs] (default 1) is
-    captured for whole-vector [Measure.interference] calls, which
-    evaluate tile-parallel; results are byte-identical in [jobs]. Build
-    it {e once} per tiled measure and share the result — consumers cache
-    per-measure state by physical identity. *)
+(** [as_measure ?jobs t] — the built measure, sharing its slabs and
+    its one lazily built transpose: O(1), no copy. The whole protocol
+    stack (trackers, static algorithms, channel, serving) runs on it
+    directly. [jobs] (default 1) is the fan-out of whole-vector
+    [Measure.interference] calls ({!Measure.with_jobs}); results are
+    byte-identical in [jobs]. Consumers cache per-measure state by
+    physical identity, so build it {e once} per [jobs] and share it;
+    with the default [jobs] every call returns the same value. *)
 val as_measure : ?jobs:int -> t -> Measure.t
-
-(** Convert to a dense-indexed {!Measure.t} (CSR with CSC transpose).
-    O(nnz) but allocates boxed rows — an opt-in escape hatch for
-    comparing against the dense backend at small m; the protocol stack
-    itself runs on {!as_measure}. *)
-val to_measure : t -> Measure.t
-
-type measure = t
-
-(** Incremental [‖W_sparse · R‖∞] under single-link load updates — the
-    tiled instance of {!Tracker_intf.S}. A thin wrapper over
-    {!Load_tracker} on the {!as_measure} view: updates push through the
-    sparse column index in O(nnz(column)), queries are O(1) amortized,
-    and reset is proportional to what was touched. The tracked value
-    equals [interference meas load] exactly, for every [jobs]. *)
-module Tracker : sig
-  type t
-
-  (** The backend type, for {!Tracker_intf.S} conformance. *)
-  type backing = measure
-
-  (** A fresh tracker over an all-zero load. [jobs] (default 1) is the
-      fan-out for stale rescans and whole-vector evaluations; results
-      never depend on it. *)
-  val create : ?jobs:int -> measure -> t
-
-  (** The measure the tracker was built over. *)
-  val measure : t -> measure
-
-  (** Current load of one link. *)
-  val load : t -> int -> float
-
-  (** [add tr e] — one more packet on link [e]. *)
-  val add : t -> int -> unit
-
-  (** [remove tr e] — one packet off link [e]. *)
-  val remove : t -> int -> unit
-
-  (** [add_scaled tr e c] — add [c] (possibly negative) to link [e]'s
-      load. Raises [Invalid_argument] on an out-of-range link. *)
-  val add_scaled : t -> int -> float -> unit
-
-  (** Exact [(W_sparse · load)(e)] for the current load. *)
-  val interference_at : t -> int -> float
-
-  (** Current [‖W_sparse · load‖∞]; recomputes dirty tiles
-      ([jobs]-parallel), then folds all tile maxima in index order. *)
-  val interference : ?jobs:int -> t -> float
-
-  (** Back to the all-zero load. *)
-  val reset : t -> unit
-end

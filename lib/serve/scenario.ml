@@ -77,10 +77,10 @@ let build_model ?sparse ?tile ?(jobs = 1) model g =
     | Some epsilon ->
       (* The ε-sparsified tiled construction (docs/SCALING.md): same
          protocol downstream, the matrix just underestimates interference
-         by at most ε·||R||_inf. [as_measure] shares the slab engine —
-         no densification ever happens on this path; [to_measure] stays
-         an opt-in escape hatch for dense comparison runs. Built once so
-         every consumer caches per-measure state off one identity. *)
+         by at most ε·||R||_inf. [as_measure] returns the engine's own
+         measure — no densification ever happens on this path. Built
+         once so every consumer caches per-measure state off one
+         identity. *)
       let tiled =
         Sinr_measure.linear_power_tiled ~jobs ?cell:tile ~epsilon phys
       in

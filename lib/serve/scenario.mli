@@ -55,8 +55,8 @@ type built = {
 (** [build ?jobs spec] — topology, interference model, oracle, algorithm
     and sized protocol config, exactly as dps_run constructs them (same
     seeds, same constants). A sparse spec builds the tiled engine and
-    wraps it via {!Dps_interference.Tiled.as_measure} — the dense matrix
-    is never materialised ([Measure.is_dense] on the result is [false]).
+    runs on its measure ({!Dps_interference.Tiled.as_measure}) — the
+    dense matrix is never materialised.
     [jobs] (default 1) parallelises the tiled construction and is
     captured as the measure's evaluation fan-out; results never depend
     on it. Raises [Failure]/[Invalid_argument] with a CLI-worded message

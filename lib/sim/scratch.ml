@@ -72,8 +72,8 @@ let ensure_n t n =
   t.nc <- grow t.nc
 
 (* One tracker per channel, created on first use and reused for every
-   later run over the physically same measure — hoisting the O(m)
-   [Load_tracker.create] out of every Measure_greedy invocation. The
+   later run over the physically same measure — hoisting the tracker's
+   O(m) allocation out of every Measure_greedy invocation. The
    protocol always passes the same measure value, so the key comparison
    is one pointer test per run. *)
 let tracker t measure =

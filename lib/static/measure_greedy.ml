@@ -25,7 +25,7 @@ let make ?(budget = 0.5) ?(slack = 8) ~priority () =
         if pa = pb then compare a b else compare pa pb)
       order;
     (* One tracker for the whole run, cached on the channel's scratch so
-       repeated runs skip the O(m) create; reset sparsely between rounds.
+       repeated runs skip its O(m) allocation; reset sparsely between rounds.
        It holds the current round's unit load per member link, so
        [interference_at tracker e] is 1 + Σ_{e' ∈ round, e' ≠ e} W(e, e')
        for members and Σ_{e' ∈ round} W(c, e') for outside candidates. *)

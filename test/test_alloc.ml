@@ -124,10 +124,9 @@ let test_run_frame_decay () =
 
 (* ------------------------------------------------- sparse hot path *)
 
-(* The ext-backed measure (Tiled.as_measure) must obey the same budget
-   as the dense pins above: the protocol cannot tell the backends apart,
-   so neither may the allocator. Same slope construction, on a small
-   link cloud with the real SINR oracle. *)
+(* The tiled measure (Tiled.as_measure, tile-major permuted rows) must
+   obey the same budget as the pins above. Same slope construction, on a
+   small link cloud with the real SINR oracle. *)
 let sparse_fixture () =
   let rng = Rng.create ~seed:5 () in
   let g =
@@ -149,11 +148,11 @@ let test_run_frame_sparse () =
 
 (* Steady-state tracker traffic: adds/removes on already-touched links
    plus the stale-rescan interference query. Column iteration boxes the
-   weight at each callback on BOTH backends (the closure is opaque at
-   the call site), so the pin here is relative: the ext dispatch may
-   not allocate a single word more per round than the dense CSC walk
-   over the very same matrix — the closure record costs indirection,
-   never allocation. *)
+   weight at each callback (the closure is opaque at the call site), so
+   the pin here is relative: the tiled measure may not allocate a single
+   word more per round than an unpermuted [of_rows] copy of the very
+   same matrix — the row permutation costs indirection, never
+   allocation. *)
 let test_sparse_tracker_ops () =
   let module Load_tracker = Dps_interference.Load_tracker in
   let module Tiled = Dps_interference.Tiled in
@@ -174,12 +173,17 @@ let test_sparse_tracker_ops () =
     ops ();
     measure ops
   in
-  let dense = rounds (Tiled.to_measure tiled) in
-  let sparse = rounds (Tiled.as_measure tiled) in
+  let sparse = Tiled.as_measure tiled in
+  let m = M.size sparse in
+  let copy =
+    M.of_rows ~m (Array.init m (fun e -> Array.to_list (M.row sparse e)))
+  in
+  let dense = rounds copy in
+  let sparse = rounds sparse in
   if sparse > dense then
     Alcotest.failf
-      "ext backend allocates more than dense on identical traffic: %.0f vs \
-       %.0f words per 10k rounds"
+      "tiled measure allocates more than its untiled copy on identical \
+       traffic: %.0f vs %.0f words per 10k rounds"
       sparse dense
 
 let () =
@@ -193,7 +197,6 @@ let () =
         [ quick "run_frame slope pin (wireline/oneshot)" test_run_frame_wireline;
           quick "run_frame slope pin (mac/decay)" test_run_frame_decay ] );
       ( "sparse",
-        [ quick "run_frame slope pin (sinr/oneshot, ext backend)"
-            test_run_frame_sparse;
-          quick "tracker ops on the ext backend allocate nothing"
-            test_sparse_tracker_ops ] ) ]
+        [ quick "run_frame slope pin (tiled measure)" test_run_frame_sparse;
+          quick "tiled tracker ops allocate no extra" test_sparse_tracker_ops
+        ] ) ]

@@ -13,7 +13,11 @@
      directions — a flag added to a parser without a table row, or a
      documented row whose flag the parser dropped, fails the build;
    - every relative `.md` link inside README.md and docs/*.md resolves
-     to a file that exists — no dead intra-doc links.
+     to a file that exists — no dead intra-doc links;
+   - every backticked `Measure.x`, `Tiled.x` or `Load_tracker.x` in
+     README.md and docs/*.md names a value, type or submodule that the
+     matching lib/interference/*.mli still exports — no stale API
+     citations.
 
    The dune stanza materialises the .mli files and the markdown corpus
    as test dependencies; the test runs from _build/default/test/, so
@@ -59,8 +63,7 @@ let test_telemetry_mlis () =
 
 let test_interference_mlis () =
   check_dir "interference"
-    [ "measure"; "load"; "load_tracker"; "tracker_intf"; "conflict_graph";
-      "tiled" ]
+    [ "measure"; "load"; "load_tracker"; "conflict_graph"; "tiled" ]
 
 let test_geometry_mlis () = check_dir "geometry" [ "point"; "placement"; "tiling" ]
 let test_faults_mlis () = check_dir "faults" [ "plan"; "injector" ]
@@ -262,6 +265,109 @@ let test_no_dead_links () =
      vacuously pass, so insist we actually saw links. *)
   Alcotest.(check bool) "saw at least five intra-doc links" true (!checked >= 5)
 
+(* ------------------------------------------- stale identifier lint *)
+
+(* Names an interface exports at top level: its vals, types and
+   submodules. *)
+let exported_names mli =
+  List.filter_map
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | ("val" | "type" | "module") :: name :: _ -> Some name
+      | _ -> None)
+    (String.split_on_char '\n' (read_file mli))
+
+(* The contents of every code span of a markdown file: fenced blocks
+   line by line, then inline spans of the remaining text. *)
+let code_spans src =
+  let fenced = ref [] and prose = Buffer.create (String.length src) in
+  let in_fence = ref false in
+  List.iter
+    (fun line ->
+      let t = String.trim line in
+      if String.length t >= 3 && String.sub t 0 3 = "```" then
+        in_fence := not !in_fence
+      else if !in_fence then fenced := line :: !fenced
+      else begin
+        Buffer.add_string prose line;
+        Buffer.add_char prose '\n'
+      end)
+    (String.split_on_char '\n' src);
+  let inline =
+    String.split_on_char '`' (Buffer.contents prose)
+    |> List.filteri (fun i _ -> i mod 2 = 1)
+  in
+  List.rev_append !fenced inline
+
+let is_ident_char c =
+  (c >= 'a' && c <= 'z')
+  || (c >= 'A' && c <= 'Z')
+  || (c >= '0' && c <= '9')
+  || c = '_' || c = '\''
+
+(* [(module, name)] for every [Module.name] in [span] whose module is one
+   of [modules] (not itself the tail of a longer identifier). *)
+let qualified_refs modules span =
+  let l = String.length span in
+  List.concat_map
+    (fun md ->
+      let n = String.length md in
+      let rec go i acc =
+        match find_sub (String.sub span i (l - i)) (md ^ ".") with
+        | None -> acc
+        | Some j ->
+          let at = i + j in
+          let start = at + n + 1 in
+          let stop = ref start in
+          while !stop < l && is_ident_char span.[!stop] do
+            incr stop
+          done;
+          let acc =
+            if (at > 0 && is_ident_char span.[at - 1]) || !stop = start then acc
+            else (md, String.sub span start (!stop - start)) :: acc
+          in
+          go start acc
+      in
+      go 0 [])
+    modules
+
+let test_no_stale_identifiers () =
+  let interfaces =
+    [ ("Measure", "measure");
+      ("Tiled", "tiled");
+      ("Load_tracker", "load_tracker") ]
+  in
+  let exports =
+    List.map
+      (fun (md, file) ->
+        (md, exported_names (Printf.sprintf "../lib/interference/%s.mli" file)))
+      interfaces
+  in
+  let checked = ref 0 and stale = ref [] in
+  let docs =
+    "../README.md"
+    :: List.filter
+         (fun d -> Filename.dirname d = "../docs")
+         (doc_corpus ())
+  in
+  List.iter
+    (fun doc ->
+      List.iter
+        (fun span ->
+          List.iter
+            (fun (md, name) ->
+              incr checked;
+              if not (List.mem name (List.assoc md exports)) then
+                stale := Printf.sprintf "%s: %s.%s" doc md name :: !stale)
+            (qualified_refs (List.map fst interfaces) span))
+        (code_spans (read_file doc)))
+    docs;
+  if !stale <> [] then
+    Alcotest.failf "docs cite names the interference interfaces no longer \
+                    export:\n  %s"
+      (String.concat "\n  " (List.sort_uniq compare !stale));
+  Alcotest.(check bool) "saw at least five citations" true (!checked >= 5)
+
 let () =
   Alcotest.run "docs"
     [ ( "doc-comments",
@@ -282,4 +388,6 @@ let () =
             test_top_md_drift ] );
       ( "links",
         [ Alcotest.test_case "no dead intra-doc links" `Quick
-            test_no_dead_links ] ) ]
+            test_no_dead_links;
+          Alcotest.test_case "no stale interference identifiers" `Quick
+            test_no_stale_identifiers ] ) ]

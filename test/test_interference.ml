@@ -288,6 +288,89 @@ let prop_degeneracy_order_always_permutation =
       Array.sort compare sorted;
       sorted = Array.init n Fun.id)
 
+(* One argument contract for every measure, tiled ones included. *)
+let test_argument_contract () =
+  let mismatch = Invalid_argument "Measure: load length mismatch" in
+  let tiled =
+    Dps_interference.Tiled.as_measure
+      (Dps_interference.Tiled.create ~epsilon:0.1
+         ~points:
+           (Array.init 3 (fun i -> Dps_geometry.Point.make (float_of_int i) 0.))
+         ~gain:(fun _ _ -> 0.5)
+         ~bound:(fun _ -> 0.5)
+         ())
+  in
+  List.iter
+    (fun (name, w) ->
+      Alcotest.check_raises (name ^ ": interference_at") mismatch (fun () ->
+          ignore (Measure.interference_at w [| 1. |] 0));
+      Alcotest.check_raises (name ^ ": interference") mismatch (fun () ->
+          ignore (Measure.interference w [| 1.; 2.; 3.; 4. |])))
+    [ ("identity", Measure.identity 3); ("tiled", tiled) ];
+  List.iter
+    (fun m ->
+      Alcotest.check_raises
+        (Printf.sprintf "identity %d" m)
+        (Invalid_argument "Measure.identity: m must be > 0")
+        (fun () -> ignore (Measure.identity m));
+      Alcotest.check_raises
+        (Printf.sprintf "complete %d" m)
+        (Invalid_argument "Measure.complete: m must be > 0")
+        (fun () -> ignore (Measure.complete m)))
+    [ 0; -1 ]
+
+(* Raw [Measure.of_slabs] input. *)
+type slabs = {
+  pos : int array;
+  row_ptr : int array;
+  ids : int list;
+  ws : float list;
+  groups : int array;
+  row_error : float array;
+}
+
+(* Two links stored in swapped order: storage row 0 is link 1 = {1: 1},
+   storage row 1 is link 0 = {0: 1, 1: 0.5}. *)
+let swapped =
+  { pos = [| 1; 0 |];
+    row_ptr = [| 0; 1; 3 |];
+    ids = [ 1; 0; 1 ];
+    ws = [ 1.; 1.; 0.5 ];
+    groups = [| 0; 1; 2 |];
+    row_error = [| 0.; 0.1 |] }
+
+let of_slabs s =
+  Measure.of_slabs ~pos:s.pos ~row_ptr:s.row_ptr
+    ~cols:
+      Bigarray.(
+        Array1.of_array int32 c_layout
+          (Array.of_list (List.map Int32.of_int s.ids)))
+    ~weights:Bigarray.(Array1.of_array float64 c_layout (Array.of_list s.ws))
+    ~groups:s.groups ~row_error:s.row_error
+
+let test_of_slabs () =
+  let w = of_slabs swapped in
+  check_float "W(0, 1)" 0.5 (Measure.weight w 0 1);
+  check_float "W(1, 0)" 0. (Measure.weight w 1 0);
+  check_float "error bound" 0.1 (Measure.error_bound w);
+  check_float "interference" 2.5 (Measure.interference w [| 2.; 1. |]);
+  check_float "jobs-parallel interference" 2.5
+    (Measure.interference (Measure.with_jobs 2 w) [| 2.; 1. |]);
+  let fails msg s =
+    Alcotest.check_raises msg (Invalid_argument ("Measure.of_slabs: " ^ msg))
+      (fun () -> ignore (of_slabs s))
+  in
+  fails "pos is not a permutation" { swapped with pos = [| 1; 1 |] };
+  fails "row_ptr must be ascending" { swapped with row_ptr = [| 0; 2; 1 |] };
+  fails "row_ptr outside the slabs" { swapped with row_ptr = [| 0; 1; 4 |] };
+  fails "row ids out of range or unsorted" { swapped with ids = [ 1; 1; 0 ] };
+  fails "row ids out of range or unsorted" { swapped with ids = [ 1; 0; 2 ] };
+  fails "diagonal must be stored as 1" { swapped with ws = [ 1.; 0.5; 0.5 ] };
+  fails "weight outside (0, 1]" { swapped with ws = [ 1.; 1.; 0. ] };
+  fails "groups must run from 0 to m" { swapped with groups = [| 0; 1 |] };
+  fails "row_error must be >= 0"
+    { swapped with row_error = [| 0.; Float.nan |] }
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "interference"
@@ -300,7 +383,9 @@ let () =
           quick "of_rows error paths" test_of_rows_error_paths;
           quick "interference_at" test_interference_at;
           quick "interference of counts" test_interference_of_counts;
-          quick "max_row_sum" test_max_row_sum ] );
+          quick "max_row_sum" test_max_row_sum;
+          quick "argument contract" test_argument_contract;
+          quick "of_slabs" test_of_slabs ] );
       ( "load",
         [ quick "of_paths" test_load_of_paths;
           quick "of_link_counts" test_load_of_link_counts;

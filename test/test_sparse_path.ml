@@ -1,10 +1,10 @@
 (* The end-to-end sparse hot path: the protocol running directly on the
    tiled engine through [Tiled.as_measure], with no densification.
-   - [Load_tracker] and [Tiled.Tracker] both satisfy [Tracker_intf.S]
-     (compile-time module ascriptions);
-   - at ε = 0 a full protocol run on the as_measure backend is
-     byte-identical to the dense run — report, trajectories and
-     telemetry — per topology family;
+   - the tile-major permuted storage agrees with an unpermuted [of_rows]
+     copy of itself on every accessor, at ε = 0 and ε > 0;
+   - at ε = 0 a full protocol run on the tiled measure is byte-identical
+     to the dense run — report, trajectories and telemetry — per
+     topology family;
    - at ε > 0 a run whose config differs only in the measure keeps every
      packet-level observable identical (the measure only sizes frames
      and feeds the failed-buffer potential), and the potential gap obeys
@@ -34,20 +34,6 @@ module Delay_select = Dps_static.Delay_select
 module Scenario = Dps_serve.Scenario
 module Telemetry = Dps_telemetry.Telemetry
 module Memory_sink = Dps_telemetry.Memory_sink
-
-(* ------------------------------------- Tracker_intf conformance pins *)
-
-module _ :
-  Dps_interference.Tracker_intf.S
-    with type t = Load_tracker.t
-     and type backing = Measure.t =
-  Load_tracker
-
-module _ :
-  Dps_interference.Tracker_intf.S
-    with type t = Tiled.Tracker.t
-     and type backing = Tiled.t =
-  Tiled.Tracker
 
 let tolerance = 1e-9
 let bits = Int64.bits_of_float
@@ -93,10 +79,6 @@ let check_zero_eps_identity name phys =
   let dense = Sinr_measure.linear_power phys in
   let tiled = Sinr_measure.linear_power_tiled ~epsilon:0. phys in
   let sparse = Tiled.as_measure tiled in
-  Alcotest.(check bool) (name ^ ": dense is dense") true
-    (Measure.is_dense dense);
-  Alcotest.(check bool) (name ^ ": as_measure is not dense") false
-    (Measure.is_dense sparse);
   Alcotest.(check (float 0.)) (name ^ ": ε=0 error bound") 0.
     (Measure.error_bound sparse);
   let g = Physics.graph phys in
@@ -278,18 +260,14 @@ let test_scenario_never_densifies () =
       ~rate:0.04 ()
   in
   let built = Scenario.build spec in
-  Alcotest.(check bool) "measure is the tiled backend" false
-    (Measure.is_dense built.Scenario.measure);
   (match built.Scenario.tiled with
   | None -> Alcotest.fail "sparse build must expose the tiled engine"
   | Some tiled ->
-    Alcotest.(check (float 0.))
-      "error bound is the engine's max row bound"
-      (Tiled.max_row_bound tiled)
-      (Measure.error_bound built.Scenario.measure);
-    Alcotest.(check int) "sizes agree" (Tiled.size tiled)
-      (Measure.size built.Scenario.measure));
-  (* The config the protocol will run on carries the same backend — the
+    Alcotest.(check bool) "measure is the tiled engine's own" true
+      (built.Scenario.measure == Tiled.as_measure tiled));
+  Alcotest.(check bool) "error bound within ε" true
+    (Measure.error_bound built.Scenario.measure <= 0.1);
+  (* The config the protocol will run on carries the same measure — the
      whole hot path shares the one un-densified measure identity. *)
   Alcotest.(check bool) "config shares the sparse measure" true
     (built.Scenario.config.Protocol.measure == built.Scenario.measure);
@@ -297,55 +275,71 @@ let test_scenario_never_densifies () =
     Scenario.make ~model:"sinr-linear" ~topology:"grid:6x6" ~rate:0.04 ()
   in
   let dense_built = Scenario.build dense_spec in
-  Alcotest.(check bool) "a dense spec still builds dense" true
-    (Measure.is_dense dense_built.Scenario.measure)
+  Alcotest.(check (float 0.)) "a dense spec still builds exact" 0.
+    (Measure.error_bound dense_built.Scenario.measure)
 
-(* The ext accessors must agree with a densified copy entry for entry —
-   the one place [to_measure] is still exercised, as the oracle for the
-   closure-backed accessors (rows, columns, point lookups, row errors). *)
-let test_as_measure_accessors_match_to_measure () =
+(* The tile-major storage against an unpermuted copy of itself: an
+   [of_rows] measure built from the tiled measure's own [Measure.row]
+   output must agree on every accessor — rows, column contents and
+   order, point lookups, row sums, and bit-equal interference at any
+   [jobs]. *)
+let test_as_measure_matches_of_rows_copy () =
   let phys = cloud_phys ~links:20 41 in
-  let tiled = Sinr_measure.linear_power_tiled ~epsilon:0.2 phys in
-  let ext = Tiled.as_measure tiled in
-  let dense = Tiled.to_measure tiled in
-  let m = Measure.size dense in
-  Alcotest.(check int) "size" m (Measure.size ext);
-  Alcotest.(check int) "nnz" (Measure.nnz dense) (Measure.nnz ext);
-  Alcotest.(check int64) "max_row_sum bits"
-    (bits (Measure.max_row_sum dense))
-    (bits (Measure.max_row_sum ext));
-  for e = 0 to m - 1 do
-    Alcotest.(check int)
-      (Printf.sprintf "row_nnz %d" e)
-      (Measure.row_nnz dense e) (Measure.row_nnz ext e);
-    Alcotest.(check (float 0.))
-      (Printf.sprintf "row_error %d" e)
-      (Tiled.row_bound tiled e) (Measure.row_error ext e);
-    let collect iter =
-      let acc = ref [] in
-      iter (fun e' w -> acc := (e', bits w) :: !acc);
-      List.rev !acc
-    in
-    if
-      collect (Measure.iter_row dense e) <> collect (Measure.iter_row ext e)
-    then Alcotest.failf "row %d differs between to_measure and as_measure" e;
-    if
-      collect (Measure.iter_column dense e)
-      <> collect (Measure.iter_column ext e)
-    then
-      Alcotest.failf "column %d differs between to_measure and as_measure" e
-  done;
-  let rng = Rng.create ~seed:43 () in
-  let load = Array.init m (fun _ -> float_of_int (Rng.int rng 6)) in
-  Alcotest.(check int64) "interference bits"
-    (bits (Measure.interference dense load))
-    (bits (Measure.interference ext load));
-  for e = 0 to m - 1 do
-    Alcotest.(check int64)
-      (Printf.sprintf "interference_at %d bits" e)
-      (bits (Measure.interference_at dense load e))
-      (bits (Measure.interference_at ext load e))
-  done
+  let collect iter =
+    let acc = ref [] in
+    iter (fun e' w -> acc := (e', bits w) :: !acc);
+    List.rev !acc
+  in
+  List.iter
+    (fun epsilon ->
+      let name fmt = Printf.sprintf ("ε=%g: " ^^ fmt) epsilon in
+      let tiled = Sinr_measure.linear_power_tiled ~epsilon phys in
+      let sparse = Tiled.as_measure tiled in
+      let m = Measure.size sparse in
+      let copy =
+        Measure.of_rows ~m
+          (Array.init m (fun e -> Array.to_list (Measure.row sparse e)))
+      in
+      Alcotest.(check int) (name "nnz") (Measure.nnz copy) (Measure.nnz sparse);
+      Alcotest.(check int64) (name "max_row_sum bits")
+        (bits (Measure.max_row_sum copy))
+        (bits (Measure.max_row_sum sparse));
+      for e = 0 to m - 1 do
+        Alcotest.(check int) (name "row_nnz %d" e) (Measure.row_nnz copy e)
+          (Measure.row_nnz sparse e);
+        if
+          collect (Measure.iter_row copy e)
+          <> collect (Measure.iter_row sparse e)
+        then Alcotest.failf "%s" (name "row %d differs" e);
+        if
+          collect (Measure.iter_column copy e)
+          <> collect (Measure.iter_column sparse e)
+        then Alcotest.failf "%s" (name "column %d differs" e);
+        for e' = 0 to m - 1 do
+          if
+            bits (Measure.weight copy e e')
+            <> bits (Measure.weight sparse e e')
+          then Alcotest.failf "%s" (name "weight (%d, %d) differs" e e')
+        done
+      done;
+      let rng = Rng.create ~seed:43 () in
+      for _ = 1 to 5 do
+        let load = Array.init m (fun _ -> float_of_int (Rng.int rng 6)) in
+        List.iter
+          (fun jobs ->
+            Alcotest.(check int64)
+              (name "interference bits, jobs=%d" jobs)
+              (bits (Measure.interference copy load))
+              (bits (Measure.interference (Tiled.as_measure ~jobs tiled) load)))
+          [ 1; 4 ];
+        for e = 0 to m - 1 do
+          Alcotest.(check int64)
+            (name "interference_at %d bits" e)
+            (bits (Measure.interference_at copy load e))
+            (bits (Measure.interference_at sparse load e))
+        done
+      done)
+    [ 0.; 0.1; 0.2 ]
 
 let () =
   Alcotest.run "sparse_path"
@@ -356,8 +350,8 @@ let () =
             test_protocol_jobs_identity;
           Alcotest.test_case "sparse scenario never densifies" `Quick
             test_scenario_never_densifies;
-          Alcotest.test_case "as_measure ≡ to_measure entry for entry" `Quick
-            test_as_measure_accessors_match_to_measure ] );
+          Alcotest.test_case "as_measure ≡ its of_rows copy" `Quick
+            test_as_measure_matches_of_rows_copy ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_sparse_run_parity; prop_rescan_par_bit_identical ] ) ]
