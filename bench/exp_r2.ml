@@ -26,7 +26,7 @@ open Common
 module Engine = Dps_serve.Engine
 module Scenario = Dps_serve.Scenario
 module Classes = Dps_serve.Classes
-module Histo = Dps_telemetry.Histo
+module Histogram = Dps_prelude.Histogram
 module Timeseries = Dps_prelude.Timeseries
 
 (* A shared MAC channel under the decay algorithm: per-frame capacity
@@ -153,7 +153,7 @@ let run () =
       (Dps_core.Stability.assess report.Dps_core.Protocol.in_system)
   in
   let urllc_p99_slots =
-    Histo.quantile (Engine.class_latency e ~klass:Classes.Urllc) 0.99
+    Histogram.quantile (Engine.class_latency e ~klass:Classes.Urllc) 0.99
   in
   let budget_slots k = float_of_int (Classes.default_budget_frames k * t) in
   let rows =
@@ -161,8 +161,8 @@ let run () =
       (fun (l, c) ->
         let h = Engine.class_latency e ~klass:l.klass in
         let p99_frames =
-          if Histo.count h = 0 then 0.
-          else Histo.quantile h 0.99 /. float_of_int t
+          if Histogram.count h = 0 then 0.
+          else Histogram.quantile h 0.99 /. float_of_int t
         in
         [ Tbl.S l.tenant;
           Tbl.S (Classes.to_string l.klass);
@@ -196,7 +196,7 @@ let run () =
   let urllc_shed = Engine.class_shed e ~klass:Classes.Urllc in
   if urllc_shed > 0 then
     failwith (Printf.sprintf "R2: %d urllc packets shed" urllc_shed);
-  if Histo.count (Engine.class_latency e ~klass:Classes.Urllc) > 0
+  if Histogram.count (Engine.class_latency e ~klass:Classes.Urllc) > 0
      && urllc_p99_slots > budget_slots Classes.Urllc
   then
     failwith

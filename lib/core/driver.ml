@@ -5,8 +5,7 @@ module Stochastic = Dps_injection.Stochastic
 module Adversary = Dps_injection.Adversary
 module Telemetry = Dps_telemetry.Telemetry
 module Event = Dps_telemetry.Event
-module Metrics = Dps_telemetry.Metrics
-module Histo = Dps_telemetry.Histo
+module Histogram = Dps_prelude.Histogram
 module Memory_sink = Dps_telemetry.Memory_sink
 module Par = Dps_par.Par
 module Plan = Dps_faults.Plan
@@ -135,7 +134,7 @@ let run_many ?(jobs = 1) ?(telemetry = Telemetry.disabled)
         run_traced ~telemetry:tel ~metrics_every ~config ~oracle ~source
           ~frames ~rng ()
       in
-      (report, Some (recorder, tel))
+      (report, Some recorder)
     end
   in
   let outcomes = Par.map ~jobs one seeds in
@@ -150,35 +149,24 @@ let run_many ?(jobs = 1) ?(telemetry = Telemetry.disabled)
             ("injected", Event.Int report.Protocol.injected);
             ("delivered", Event.Int report.Protocol.delivered) ];
         match priv with
-        | Some (recorder, _) -> Memory_sink.replay recorder tracer
+        | Some recorder -> Memory_sink.replay recorder tracer
         | None -> ())
       (List.combine seeds outcomes);
-    (* One aggregate over all replicas; the latency histograms merge by
-       bucket-count addition (Histo.merge), left-folded in seed order. *)
+    (* One aggregate over all replicas: their latency histograms merged
+       by count addition, left-folded in seed order. *)
     let latency =
       List.fold_left
-        (fun acc (_, priv) ->
-          match priv with
-          | None -> acc
-          | Some (_, tel) ->
-            let h =
-              Metrics.histo
-                (Metrics.histogram (Telemetry.metrics tel)
-                   "protocol.latency.slots")
-            in
-            (match acc with
-            | None -> Some h
-            | Some merged -> Some (Histo.merge merged h)))
-        None outcomes
+        (fun acc (r : Protocol.report) -> Histogram.merge acc r.Protocol.latency)
+        (Histogram.create ()) reports
     in
     let total f = List.fold_left (fun acc r -> acc + f r) 0 reports in
     let latency_attrs =
-      match latency with
-      | Some h when Histo.count h > 0 ->
-        [ ("latency_count", Event.Int (Histo.count h));
-          ("latency_p50", Event.Float (Histo.quantile h 0.5));
-          ("latency_p99", Event.Float (Histo.quantile h 0.99)) ]
-      | _ -> [ ("latency_count", Event.Int 0) ]
+      ("latency_count", Event.Int (Histogram.count latency))
+      ::
+      (if Histogram.count latency = 0 then []
+       else
+         [ ("latency_p50", Event.Float (Histogram.quantile latency 0.5));
+           ("latency_p99", Event.Float (Histogram.quantile latency 0.99)) ])
     in
     Telemetry.span telemetry ~name:"driver.run_many" ~frame:0 ~slot_start:0
       ~slot_end:(frames * config.Protocol.frame)

@@ -79,8 +79,8 @@ val run_traced :
     [driver.replica] point (attrs: index, seed, injected, delivered) is
     emitted followed by that replica's replayed stream, and the run
     closes with a [driver.run_many] span aggregating all replicas —
-    totals plus the bucket-merged latency histogram
-    ({!Dps_telemetry.Histo.merge}) — and a flush. [source] is shared by
+    totals plus the replicas' [report.latency] histograms merged
+    ({!Dps_prelude.Histogram.merge}) — and a flush. [source] is shared by
     every replica; both injection models are immutable, so this is safe
     — per-replica mutable state must stay out of [source].
 

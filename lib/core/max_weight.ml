@@ -46,7 +46,7 @@ let run ~oracle ~m ~inject_slot ~slots ?sample rng =
   let injected = ref 0 and delivered = ref 0 in
   let next_id = ref 0 in
   let in_system = Timeseries.create () in
-  let latency = Histogram.create ~reservoir:65536 () in
+  let latency = Histogram.create () in
   let max_queue = ref 0 in
   let in_flight = ref 0 in
   for slot = 0 to slots - 1 do
@@ -71,7 +71,7 @@ let run ~oracle ~m ~inject_slot ~slots ?sample rng =
           incr delivered;
           decr in_flight;
           match Packet.latency p with
-          | Some l -> Histogram.add latency rng (float_of_int l)
+          | Some l -> Histogram.add latency l
           | None -> assert false
         end
         else begin

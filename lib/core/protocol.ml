@@ -314,7 +314,7 @@ let create ?telemetry ?packet_trace ?guard ?on_deliver ?(jobs = 1) cfg
     failed_queue = Timeseries.create ();
     potential = Timeseries.create ();
     failed_interference = Timeseries.create ();
-    latency = Histogram.create ~reservoir:65536 ();
+    latency = Histogram.create ();
     max_queue = 0 }
 
 let config t = t.cfg
@@ -354,17 +354,17 @@ let dequeue_failed t link =
 (* Head-based sampling is sticky for a packet's whole lifetime: every
    [packet.*] emission site tests [id mod pt_every = 0], so a sampled
    trace contains complete lifecycles, never partial ones. *)
-let record_delivery t rng p =
+let record_delivery t p =
   t.delivered <- t.delivered + 1;
   let l = Arena.latency t.arena p in
   assert (l >= 0);
   (match t.on_deliver with
   | None -> ()
   | Some f -> f ~id:(Arena.id t.arena p) ~latency:l);
-  Histogram.add t.latency rng (float_of_int l);
+  Histogram.add t.latency l;
   (match t.tel with
   | None -> ()
-  | Some h -> Metrics.observe h.h_latency (float_of_int l));
+  | Some h -> Metrics.observe h.h_latency l);
   match t.ptel with
   | Some pt when Arena.id t.arena p mod pt.pt_every = 0 ->
     Telemetry.point pt.pt_t ~name:"packet.deliver" ~frame:t.frame_idx
@@ -434,7 +434,7 @@ let phase1 t rng =
       emit_hop t p ~now ~phase:"phase1" ~ok:true;
       Arena.advance a p ~slot:now;
       if Arena.delivered a p then begin
-        record_delivery t rng p;
+        record_delivery t p;
         Arena.free a p
       end
       else Intvec.push t.survivors p
@@ -500,7 +500,7 @@ let cleanup t rng =
         emit_hop t p ~now ~phase:"cleanup" ~ok:true;
         Arena.advance a p ~slot:now;
         if Arena.delivered a p then begin
-          record_delivery t rng p;
+          record_delivery t p;
           Arena.free a p
         end
         else enqueue_failed t p

@@ -8,7 +8,7 @@ module Injector = Dps_faults.Injector
 module Class_guard = Dps_faults.Class_guard
 module Telemetry = Dps_telemetry.Telemetry
 module Metrics = Dps_telemetry.Metrics
-module Histo = Dps_telemetry.Histo
+module Histogram = Dps_prelude.Histogram
 module Sink = Dps_telemetry.Sink
 module Json = Dps_trace.Json
 module Reader = Dps_trace.Reader
@@ -156,7 +156,7 @@ let make_engine ?(sinks = []) ?(jobs = 1) cfg =
       Hashtbl.remove in_flight_tenant id;
       Metrics.incr ten.c_delivered;
       let cs = class_stats.(Classes.priority ten.klass) in
-      Metrics.observe cs.h_latency (float_of_int latency);
+      Metrics.observe cs.h_latency latency;
       if latency > cs.budget_slots then Metrics.incr cs.c_budget
   in
   let protocol =
@@ -442,8 +442,8 @@ let jain_index t =
    sample has been delivered. *)
 let class_burn cs =
   let h = Metrics.histo cs.h_latency in
-  if Histo.count h = 0 || cs.budget_slots = 0 then 0.
-  else Histo.quantile h 0.99 /. float_of_int cs.budget_slots
+  if Histogram.count h = 0 || cs.budget_slots = 0 then 0.
+  else Histogram.quantile h 0.99 /. float_of_int cs.budget_slots
 
 (* Fraction of submitted copies lost to [c] (shed or deny) relative to
    everything that reached the same decision point; 0 when idle. *)
@@ -608,10 +608,10 @@ let stats_fields t =
     let cs = t.class_stats.(Classes.priority k) in
     let h = Metrics.histo cs.h_latency in
     let quantiles =
-      if Histo.count h = 0 then []
+      if Histogram.count h = 0 then []
       else
-        [ ("p50", Wire.Float (Histo.quantile h 0.5));
-          ("p99", Wire.Float (Histo.quantile h 0.99)) ]
+        [ ("p50", Wire.Float (Histogram.quantile h 0.5));
+          ("p99", Wire.Float (Histogram.quantile h 0.99)) ]
     in
     Wire.Raw
       (Wire.obj
@@ -620,7 +620,7 @@ let stats_fields t =
             ("denied", Wire.Int (Metrics.counter_value cs.c_class_denied));
             ("shed", Wire.Int (Metrics.counter_value cs.c_class_shed));
             ("violations", Wire.Int (Metrics.counter_value cs.c_budget));
-            ("delivered", Wire.Int (Histo.count h));
+            ("delivered", Wire.Int (Histogram.count h));
             ("budget_slots", Wire.Int cs.budget_slots);
             ("burn", Wire.Float (class_burn cs));
             ("shed_rate",

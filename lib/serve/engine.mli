@@ -148,7 +148,7 @@ val injector : t -> Dps_faults.Injector.t option
 val shedding : t -> klass:Classes.t -> bool
 
 (** Delivery-latency histogram of a class, in slots (shared, live). *)
-val class_latency : t -> klass:Classes.t -> Dps_telemetry.Histo.t
+val class_latency : t -> klass:Classes.t -> Dps_prelude.Histogram.t
 
 (** Packets shed from a class so far. *)
 val class_shed : t -> klass:Classes.t -> int

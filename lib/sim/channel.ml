@@ -29,7 +29,8 @@ type t = {
   rng : Rng.t option;  (* randomness for stochastic oracles (Lossy) *)
   counts : int array;  (* per-slot attempt counts; zero outside step *)
   tracker : Load_tracker.t option;
-      (* measured per-slot attempt interference, when a measure is attached *)
+      (* per-slot attempt interference for the fault drop hook; kept
+         only when both a measure and faults are attached *)
   faults : faults option;
   tel : tel option;
   scratch : Scratch.t;  (* borrowed by the algorithm driving this channel *)
@@ -44,7 +45,7 @@ type t = {
 }
 
 let create ?rng ?measure ?telemetry ?faults ?(jobs = 1) ~oracle ~m () =
-  assert (m > 0);
+  if m <= 0 then invalid_arg "Channel.create: m <= 0";
   if jobs < 1 then invalid_arg "Channel.create: jobs must be >= 1";
   (match measure with
   | Some w when Dps_interference.Measure.size w <> m ->
@@ -84,7 +85,10 @@ let create ?rng ?measure ?telemetry ?faults ?(jobs = 1) ~oracle ~m () =
     trace = Trace.create ~m;
     rng;
     counts = Array.make m 0;
-    tracker = Option.map (Load_tracker.create ~jobs) measure;
+    tracker =
+      (match (faults, measure) with
+      | Some _, Some w -> Some (Load_tracker.create ~jobs w)
+      | _ -> None);
     faults;
     tel;
     scratch = Scratch.create ~jobs ~m ();
@@ -154,8 +158,7 @@ let step_vec t attempts =
          to the list path's [List.iter ... active]. *)
       for i = Intvec.length t.v_active - 1 downto 0 do
         Load_tracker.add tracker (Intvec.get t.v_active i)
-      done;
-      Trace.record_interference t.trace (Load_tracker.interference tracker));
+      done);
     Oracle.adjudicate_vec ?rng:t.rng t.oracle ~active:t.v_active
       ~winners:t.v_winners;
     Intvec.clear t.v_succeeded;
@@ -231,7 +234,7 @@ let step t attempts =
   Intvec.to_list (step_vec t t.v_list_in)
 
 let idle t ~slots =
-  assert (slots >= 0);
+  if slots < 0 then invalid_arg "Channel.idle: slots < 0";
   for _ = 1 to slots do
     Intvec.clear t.v_list_in;
     ignore (step_vec t t.v_list_in)

@@ -37,11 +37,12 @@ type faults = {
 (** [create ?rng ?measure ?telemetry ?faults ~oracle ~m ()] — a fresh
     channel.
     [rng] supplies the randomness stochastic oracles ({!Oracle.Lossy})
-    need; deterministic oracles never consult it. When [measure] is given,
-    the channel keeps a {!Dps_interference.Load_tracker} and records every
-    busy slot's measured attempt interference [||W·attempts||_inf] (over
-    the distinct attempting links — the set the oracle adjudicates) into
-    the trace; see {!Trace.mean_interference}. When [telemetry] is given
+    need; deterministic oracles never consult it. When both [measure]
+    and [faults] are given, the channel keeps a
+    {!Dps_interference.Load_tracker} over each busy slot's distinct
+    attempting links (the set the oracle adjudicates), from which the
+    [drop] hook reads its [interference]; otherwise [measure] is only
+    checked against [m]. When [telemetry] is given
     and enabled, every {!step} maintains the [channel.*] counters of
     docs/OBSERVABILITY.md ([channel.slots], [channel.busy_slots],
     [channel.attempts], and [channel.tx] labelled by outcome:
@@ -55,11 +56,11 @@ type faults = {
     measure is a sparse backend ([Measure.error_bound > 0]) and
     telemetry is enabled, the one-time gauge
     [channel.interference_error_bound] records how far below the true
-    dense value each slot's recorded attempt interference can sit
-    (attempt loads are 0/1, so the slack is exactly the measure's
-    error bound) — verdicts stay auditable without densifying. Raises
-    [Invalid_argument] if the measure size differs from [m] or
-    [jobs < 1]. *)
+    dense value the measured attempt interference can sit (attempt
+    loads are 0/1, so the slack is exactly the measure's error bound) —
+    verdicts stay auditable without densifying. Raises
+    [Invalid_argument] if [m <= 0], the measure size differs from [m]
+    or [jobs < 1]. *)
 val create :
   ?rng:Dps_prelude.Rng.t ->
   ?measure:Dps_interference.Measure.t ->
@@ -97,7 +98,8 @@ val step : t -> int list -> int list
     {!step} — which is now a shim over this function. *)
 val step_vec : t -> Dps_prelude.Intvec.t -> Dps_prelude.Intvec.t
 
-(** [idle t ~slots] — let [slots] empty slots pass. *)
+(** [idle t ~slots] — let [slots] empty slots pass. Raises
+    [Invalid_argument] when [slots < 0]. *)
 val idle : t -> slots:int -> unit
 
 (** The channel's scratch buffers, borrowed by the static algorithm

@@ -5,24 +5,16 @@ type t = {
   mutable busy_slots : int;
   attempts_on : int array;
   successes_on : int array;
-  (* Per-slot measured interference ||W·attempts||_inf, recorded only by
-     channels carrying a measure; zero slots are not recorded. *)
-  mutable interference_slots : int;
-  mutable interference_sum : float;
-  mutable interference_peak : float;
 }
 
 let create ~m =
-  assert (m > 0);
+  if m <= 0 then invalid_arg "Trace.create: m <= 0";
   { slots = 0;
     attempts = 0;
     successes = 0;
     busy_slots = 0;
     attempts_on = Array.make m 0;
-    successes_on = Array.make m 0;
-    interference_slots = 0;
-    interference_sum = 0.;
-    interference_peak = 0. }
+    successes_on = Array.make m 0 }
 
 let slots t = t.slots
 let attempts t = t.attempts
@@ -31,35 +23,9 @@ let busy_slots t = t.busy_slots
 let successes_on t e = t.successes_on.(e)
 let attempts_on t e = t.attempts_on.(e)
 
-let record_interference t i =
-  t.interference_slots <- t.interference_slots + 1;
-  t.interference_sum <- t.interference_sum +. i;
-  if i > t.interference_peak then t.interference_peak <- i
-
-let peak_interference t = t.interference_peak
-
-let mean_interference t =
-  if t.interference_slots = 0 then 0.
-  else t.interference_sum /. float_of_int t.interference_slots
-
-let record t ~attempted ~succeeded =
-  t.slots <- t.slots + 1;
-  (match attempted with [] -> () | _ -> t.busy_slots <- t.busy_slots + 1);
-  List.iter
-    (fun e ->
-      t.attempts <- t.attempts + 1;
-      t.attempts_on.(e) <- t.attempts_on.(e) + 1)
-    attempted;
-  List.iter
-    (fun e ->
-      t.successes <- t.successes + 1;
-      t.successes_on.(e) <- t.successes_on.(e) + 1)
-    succeeded
-
-(* Vector variant of [record] for the zero-allocation slot loop: folds the
-   same counters without consing. Link order is irrelevant here — only
-   counts are kept. Index loops, not [Intvec.iter]: a capturing closure
-   would allocate every slot. *)
+(* Folds one slot into the counters without consing. Link order is
+   irrelevant here — only counts are kept. Index loops, not
+   [Intvec.iter]: a capturing closure would allocate every slot. *)
 let record_vec t ~attempted ~succeeded =
   let module V = Dps_prelude.Intvec in
   t.slots <- t.slots + 1;

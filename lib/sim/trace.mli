@@ -6,6 +6,8 @@
 
 type t
 
+(** [create ~m] — zeroed counters for [m] links. Raises
+    [Invalid_argument] when [m <= 0]. *)
 val create : m:int -> t
 
 (** Total slots elapsed. *)
@@ -26,28 +28,12 @@ val successes_on : t -> int -> int
 (** [attempts_on t e] — attempts on link [e]. *)
 val attempts_on : t -> int -> int
 
-(** [record t ~attempted ~succeeded] — fold one slot into the counters. *)
-val record : t -> attempted:int list -> succeeded:int list -> unit
-
-(** [record_vec] — same, from link vectors; allocates nothing (the
-    hot-loop variant used by {!Channel.step_vec}). *)
+(** [record_vec t ~attempted ~succeeded] — fold one slot into the
+    counters; allocates nothing (called by {!Channel.step_vec}). *)
 val record_vec :
   t ->
   attempted:Dps_prelude.Intvec.t ->
   succeeded:Dps_prelude.Intvec.t ->
   unit
-
-(** [record_interference t i] — fold one busy slot's measured attempt
-    interference [i = ||W·attempts||_inf] into the running aggregates.
-    Recorded by channels created with a measure attached. *)
-val record_interference : t -> float -> unit
-
-(** Largest per-slot measured interference so far; [0.] when none
-    recorded. *)
-val peak_interference : t -> float
-
-(** Mean per-slot measured interference over the recorded (busy) slots;
-    [0.] when none recorded. *)
-val mean_interference : t -> float
 
 val pp : Format.formatter -> t -> unit

@@ -1,3 +1,5 @@
+module Histogram = Dps_prelude.Histogram
+
 type kind = Counter | Gauge | Histogram
 
 type entry = {
@@ -7,7 +9,7 @@ type entry = {
   e_kind : kind;
   mutable e_count : int;  (* counters *)
   mutable e_gauge : float;  (* gauges *)
-  e_histo : Histo.t option;
+  e_histo : Histogram.t option;
 }
 
 (* [sorted] caches the entries in canonical (name, labels) order; it is
@@ -43,7 +45,7 @@ let kind_name = function
   | Gauge -> "gauge"
   | Histogram -> "histogram"
 
-let register t ~name ~labels ~kind ~histo =
+let register t ~name ~labels ~kind =
   check_token "metric name" name;
   List.iter
     (fun (k, v) ->
@@ -72,21 +74,15 @@ let register t ~name ~labels ~kind ~histo =
         e_kind = kind;
         e_count = 0;
         e_gauge = 0.;
-        e_histo = (if kind = Histogram then Some (histo ()) else None) }
+        e_histo = (if kind = Histogram then Some (Histogram.create ()) else None) }
     in
     Hashtbl.add t.entries key e;
     t.sorted <- None;
     e
 
-let counter t ?(labels = []) name =
-  register t ~name ~labels ~kind:Counter ~histo:(fun () -> assert false)
-
-let gauge t ?(labels = []) name =
-  register t ~name ~labels ~kind:Gauge ~histo:(fun () -> assert false)
-
-let histogram t ?(labels = []) ?bounds name =
-  register t ~name ~labels ~kind:Histogram ~histo:(fun () ->
-      Histo.create ?bounds ())
+let counter t ?(labels = []) name = register t ~name ~labels ~kind:Counter
+let gauge t ?(labels = []) name = register t ~name ~labels ~kind:Gauge
+let histogram t ?(labels = []) name = register t ~name ~labels ~kind:Histogram
 
 let incr c = c.e_count <- c.e_count + 1
 
@@ -101,7 +97,7 @@ let gauge_value g = g.e_gauge
 let the_histo e =
   match e.e_histo with Some h -> h | None -> assert false
 
-let observe h x = Histo.observe (the_histo h) x
+let observe h x = Histogram.add (the_histo h) x
 let histo h = the_histo h
 
 type row = {
@@ -122,19 +118,19 @@ let rows_of_entry e =
   | Gauge -> [ row "gauge" e.e_gauge ]
   | Histogram ->
     let h = the_histo e in
-    if Histo.count h = 0 then
-      [ row "count" 0.;
-        row "max" (Histo.max_value h);
-        row "min" (Histo.min_value h);
-        row "sum" (Histo.sum h) ]
+    let max = float_of_int (Histogram.max h)
+    and min = float_of_int (Histogram.min h)
+    and sum = float_of_int (Histogram.sum h) in
+    if Histogram.count h = 0 then
+      [ row "count" 0.; row "max" max; row "min" min; row "sum" sum ]
     else
-      [ row "count" (float_of_int (Histo.count h));
-        row "max" (Histo.max_value h);
-        row "min" (Histo.min_value h);
-        row "p50" (Histo.quantile h 0.5);
-        row "p90" (Histo.quantile h 0.9);
-        row "p99" (Histo.quantile h 0.99);
-        row "sum" (Histo.sum h) ]
+      [ row "count" (float_of_int (Histogram.count h));
+        row "max" max;
+        row "min" min;
+        row "p50" (Histogram.quantile h 0.5);
+        row "p90" (Histogram.quantile h 0.9);
+        row "p99" (Histogram.quantile h 0.99);
+        row "sum" sum ]
 
 let sorted_entries t =
   match t.sorted with

@@ -21,7 +21,8 @@ type counter
 (** A gauge: last-write-wins float. *)
 type gauge
 
-(** A histogram of observations (a {!Histo.t} under a name). *)
+(** A histogram of observations (a {!Dps_prelude.Histogram.t} under a
+    name). *)
 type histogram
 
 (** An empty registry. *)
@@ -37,12 +38,9 @@ val counter : t -> ?labels:(string * string) list -> string -> counter
     {!counter}. *)
 val gauge : t -> ?labels:(string * string) list -> string -> gauge
 
-(** [histogram t ?labels ?bounds name] — register (or retrieve) a
-    histogram; [bounds] as in {!Histo.create} and ignored when the
-    metric already exists. Raises as {!counter}. *)
-val histogram :
-  t -> ?labels:(string * string) list -> ?bounds:float array -> string ->
-  histogram
+(** [histogram t ?labels name] — register (or retrieve) a histogram.
+    Raises as {!counter}. *)
+val histogram : t -> ?labels:(string * string) list -> string -> histogram
 
 (** [incr c] — add 1. *)
 val incr : counter -> unit
@@ -61,11 +59,11 @@ val set : gauge -> float -> unit
 val gauge_value : gauge -> float
 
 (** [observe h x] — record one sample; raises [Invalid_argument] on
-    non-finite [x]. *)
-val observe : histogram -> float -> unit
+    negative [x]. *)
+val observe : histogram -> int -> unit
 
-(** The underlying {!Histo.t} (shared, not a copy). *)
-val histo : histogram -> Histo.t
+(** The underlying histogram (shared, not a copy). *)
+val histo : histogram -> Dps_prelude.Histogram.t
 
 (** One rendered metric value. Counters and gauges yield a single row
     of kind ["counter"] / ["gauge"]; a histogram expands into one row

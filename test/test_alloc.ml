@@ -186,6 +186,23 @@ let test_sparse_tracker_ops () =
        traffic: %.0f vs %.0f words per 10k rounds"
       sparse dense
 
+(* ----------------------------------------------------- latency histogram *)
+
+(* Every delivery records its latency: once the count array has grown to
+   cover the samples, recording (exact cells and overflow octaves alike)
+   allocates nothing. *)
+let test_histogram_add () =
+  let module Histogram = Dps_prelude.Histogram in
+  let h = Histogram.create () in
+  let samples () =
+    for i = 0 to 9_999 do
+      Histogram.add h (i * 7 mod Histogram.exact_bound);
+      Histogram.add h (Histogram.exact_bound + (i * 977))
+    done
+  in
+  Histogram.add h (Histogram.exact_bound - 1);
+  check_zero "20k histogram adds" samples
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "alloc"
@@ -199,4 +216,6 @@ let () =
       ( "sparse",
         [ quick "run_frame slope pin (tiled measure)" test_run_frame_sparse;
           quick "tiled tracker ops allocate no extra" test_sparse_tracker_ops
-        ] ) ]
+        ] );
+      ("histogram", [ quick "add allocates nothing once grown" test_histogram_add ])
+    ]

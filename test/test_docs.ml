@@ -4,9 +4,9 @@
    instead this test enforces the parts that matter for reviewers:
 
    - every interface of the libraries whose surface is documented
-     behaviour (telemetry, faults, trace, par, serve, and the
-     interference / geometry substrate including the tiled sparse
-     engine) opens with a module doc comment and documents every
+     behaviour (telemetry, faults, trace, par, serve, the prelude's
+     histogram, and the interference / geometry substrate including the
+     tiled sparse engine) opens with a module doc comment and documents every
      exported value;
    - the flag tables of docs/CLI.md and docs/SERVING.md agree with
      `dps_run --help` and `dps_serve --help` respectively, in BOTH
@@ -58,8 +58,12 @@ let check_dir dir names =
 
 let test_telemetry_mlis () =
   check_dir "telemetry"
-    [ "event"; "histo"; "metrics"; "sink"; "memory_sink"; "snapshot"; "tracer";
+    [ "event"; "metrics"; "sink"; "memory_sink"; "snapshot"; "tracer";
       "telemetry" ]
+
+(* The one latency histogram: the report, the metrics registry and the
+   daemon's class quantiles all read it. *)
+let test_prelude_mlis () = check_dir "prelude" [ "histogram" ]
 
 let test_interference_mlis () =
   check_dir "interference"
@@ -372,6 +376,8 @@ let () =
   Alcotest.run "docs"
     [ ( "doc-comments",
         [ Alcotest.test_case "telemetry interfaces" `Quick test_telemetry_mlis;
+          Alcotest.test_case "prelude histogram interface" `Quick
+            test_prelude_mlis;
           Alcotest.test_case "interference interfaces" `Quick
             test_interference_mlis;
           Alcotest.test_case "geometry interfaces" `Quick test_geometry_mlis;

@@ -44,8 +44,7 @@ let test_stats_pp () =
 
 let test_histogram_pp () =
   let h = Histogram.create () in
-  let rng = Rng.create () in
-  List.iter (fun x -> Histogram.add h rng x) [ 1.; 2.; 3.; 4. ];
+  List.iter (Histogram.add h) [ 1; 2; 3; 4 ];
   let text = Format.asprintf "%a" Histogram.pp h in
   Alcotest.(check bool) "mentions p50" true (contains text "p50=");
   Alcotest.(check string) "empty histogram" "n=0"
@@ -130,6 +129,16 @@ let test_channel_mixed_duplicates () =
   Alcotest.(check (list int)) "only the singleton" [ 2 ] succ;
   (* All six attempts were still counted. *)
   Alcotest.(check int) "attempts" 6 (Trace.attempts (Channel.trace ch))
+
+(* Argument errors are [Invalid_argument] with a stable message, never an
+   [assert] that vanishes under -noassert. *)
+let test_sim_argument_contract () =
+  let raises msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
+  raises "Channel.create: m <= 0" (fun () ->
+      ignore (Channel.create ~oracle:Oracle.Wireline ~m:0 ()));
+  raises "Channel.idle: slots < 0" (fun () ->
+      Channel.idle (Channel.create ~oracle:Oracle.Wireline ~m:1 ()) ~slots:(-1));
+  raises "Trace.create: m <= 0" (fun () -> ignore (Trace.create ~m:(-3)))
 
 let test_packet_single_hop () =
   let g = Topology.line ~nodes:2 ~spacing:1. in
@@ -223,6 +232,7 @@ let () =
           quick "isolated node routing" test_routing_isolated_node;
           quick "conflict-free graph" test_conflict_graph_no_conflicts;
           quick "mixed duplicate attempts" test_channel_mixed_duplicates;
+          quick "sim argument contract" test_sim_argument_contract;
           quick "single-hop packet" test_packet_single_hop;
           quick "beta boundary" test_physics_beta_boundary ] );
       ( "constants",

@@ -180,49 +180,40 @@ let test_stats_min_empty_raises () =
 
 (* ------------------------------------------------------------ Histogram *)
 
-let test_histogram_quantiles () =
+let histogram_of xs =
   let h = Histogram.create () in
-  let rng = Rng.create () in
-  List.iter (fun x -> Histogram.add h rng x) [ 1.; 2.; 3.; 4.; 5. ];
-  check_float "median" 3. (Histogram.median h);
+  List.iter (Histogram.add h) xs;
+  h
+
+let test_histogram_quantiles () =
+  let h = histogram_of [ 1; 2; 3; 4; 5 ] in
+  check_float "median" 3. (Histogram.quantile h 0.5);
   check_float "q0" 1. (Histogram.quantile h 0.);
   check_float "q1" 5. (Histogram.quantile h 1.);
   check_float "q0.25" 2. (Histogram.quantile h 0.25);
-  check_float "max" 5. (Histogram.max h)
+  Alcotest.(check int) "max" 5 (Histogram.max h)
 
 let test_histogram_interpolation () =
-  let h = Histogram.create () in
-  let rng = Rng.create () in
-  List.iter (fun x -> Histogram.add h rng x) [ 0.; 10. ];
+  let h = histogram_of [ 0; 10 ] in
   check_float "q0.5 interpolated" 5. (Histogram.quantile h 0.5);
   check_float "q0.3 interpolated" 3. (Histogram.quantile h 0.3)
 
 let test_histogram_mean_count () =
-  let h = Histogram.create () in
-  let rng = Rng.create () in
-  for i = 1 to 10 do
-    Histogram.add h rng (float_of_int i)
-  done;
+  let h = histogram_of (List.init 10 (fun i -> i + 1)) in
   Alcotest.(check int) "count" 10 (Histogram.count h);
+  Alcotest.(check int) "sum" 55 (Histogram.sum h);
   check_float "mean" 5.5 (Histogram.mean h)
-
-let test_histogram_reservoir_cap () =
-  let h = Histogram.create ~reservoir:100 () in
-  let rng = Rng.create ~seed:17 () in
-  for i = 1 to 10_000 do
-    Histogram.add h rng (float_of_int (i mod 100))
-  done;
-  Alcotest.(check int) "sees all" 10_000 (Histogram.count h);
-  (* The retained sample still approximates the uniform distribution on
-     0..99: median within [20, 80]. *)
-  let med = Histogram.median h in
-  Alcotest.(check bool) "median sane" true (med >= 20. && med <= 80.)
 
 let test_histogram_empty_raises () =
   let h = Histogram.create () in
   Alcotest.check_raises "quantile on empty"
     (Invalid_argument "Histogram.quantile: empty") (fun () ->
-      ignore (Histogram.quantile h 0.5))
+      ignore (Histogram.quantile h 0.5));
+  Alcotest.check_raises "q out of range"
+    (Invalid_argument "Histogram.quantile: q out of range") (fun () ->
+      ignore (Histogram.quantile (histogram_of [ 1 ]) Float.nan));
+  Alcotest.(check (list int)) "empty min/max/sum" [ 0; 0; 0 ]
+    [ Histogram.min h; Histogram.max h; Histogram.sum h ]
 
 (* ----------------------------------------------------------- Timeseries *)
 
@@ -300,15 +291,89 @@ let test_util_misc () =
 
 (* ------------------------------------------------------------ property *)
 
+(* The quantile algorithm the histogram must reproduce bit for bit: sort
+   every sample, interpolate linearly between the order statistics
+   around q·(n−1). *)
+let reference_quantile xs q =
+  let a = Array.of_list (List.map float_of_int xs) in
+  Array.sort compare a;
+  let pos = q *. float_of_int (Array.length a - 1) in
+  let lo = int_of_float (Float.floor pos) in
+  let hi = int_of_float (Float.ceil pos) in
+  if lo = hi then a.(lo)
+  else
+    let frac = pos -. float_of_int lo in
+    ((1. -. frac) *. a.(lo)) +. (frac *. a.(hi))
+
+let exact_samples =
+  QCheck.(list_of_size Gen.(int_range 1 80) (int_bound (Histogram.exact_bound - 1)))
+
+(* Samples on both sides of the exact bound, so merges and quantiles
+   cross into the overflow octaves. *)
+let mixed_samples =
+  QCheck.(list_of_size Gen.(int_range 1 60) (int_bound (1 lsl 20)))
+
+let quantile_grid = [ 0.; 0.01; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 1. ]
+
+let prop_histogram_exact_quantiles =
+  QCheck.Test.make ~count:300
+    ~name:"histogram exact below the bound"
+    QCheck.(pair exact_samples (float_bound_inclusive 1.))
+    (fun (xs, q) ->
+      let h = histogram_of xs in
+      List.for_all
+        (fun q -> Histogram.quantile h q = reference_quantile xs q)
+        (q :: quantile_grid))
+
+let prop_histogram_overflow_error =
+  QCheck.Test.make ~count:300
+    ~name:"histogram within 2x above the bound"
+    QCheck.(pair mixed_samples (float_bound_inclusive 1.))
+    (fun (xs, q) ->
+      let h = histogram_of xs in
+      List.for_all
+        (fun q ->
+          let exact = reference_quantile xs q in
+          Float.abs (Histogram.quantile h q -. exact) <= exact)
+        (q :: quantile_grid))
+
+let prop_histogram_merge_is_concat =
+  QCheck.Test.make ~count:200 ~name:"histogram merge == concatenation"
+    QCheck.(pair mixed_samples mixed_samples)
+    (fun (xs, ys) ->
+      let m = Histogram.merge (histogram_of xs) (histogram_of ys) in
+      let c = histogram_of (xs @ ys) in
+      Histogram.count m = Histogram.count c
+      && Histogram.sum m = Histogram.sum c
+      && Histogram.min m = Histogram.min c
+      && Histogram.max m = Histogram.max c
+      && List.for_all
+           (fun q -> Histogram.quantile m q = Histogram.quantile c q)
+           quantile_grid)
+
+(* The accumulate-then-diff pattern dps_top lives on: a merge must look
+   exactly like one histogram that saw both streams, so count/sum deltas
+   taken against an earlier capture stay meaningful after aggregation. *)
+let prop_histogram_merge_count_sum =
+  QCheck.Test.make ~count:300 ~name:"histogram merge preserves count and sum"
+    QCheck.(pair mixed_samples mixed_samples)
+    (fun (xs, ys) ->
+      let a = histogram_of xs and b = histogram_of ys in
+      let m = Histogram.merge a b in
+      Histogram.count m = Histogram.count a + Histogram.count b
+      && Histogram.sum m = Histogram.sum a + Histogram.sum b)
+
 let prop_histogram_quantile_monotone =
   QCheck.Test.make ~count:200 ~name:"histogram quantiles are monotone"
-    QCheck.(pair (list_of_size Gen.(int_range 1 50) (float_bound_exclusive 1000.)) (pair (float_bound_inclusive 1.) (float_bound_inclusive 1.)))
+    QCheck.(pair mixed_samples (pair (float_bound_inclusive 1.) (float_bound_inclusive 1.)))
     (fun (xs, (q1, q2)) ->
-      let h = Histogram.create () in
-      let rng = Rng.create () in
-      List.iter (fun x -> Histogram.add h rng x) xs;
+      let h = histogram_of xs in
       let lo = Float.min q1 q2 and hi = Float.max q1 q2 in
-      Histogram.quantile h lo <= Histogram.quantile h hi +. 1e-9)
+      let v1 = Histogram.quantile h lo and v2 = Histogram.quantile h hi in
+      let slack = 1e-9 *. (1. +. v2) in
+      v1 <= v2 +. slack
+      && v1 >= float_of_int (Histogram.min h) -. slack
+      && v2 <= float_of_int (Histogram.max h) +. slack)
 
 let prop_stats_mean_bounds =
   QCheck.Test.make ~count:200 ~name:"stats mean lies within min/max"
@@ -365,7 +430,6 @@ let () =
         [ quick "quantiles" test_histogram_quantiles;
           quick "interpolation" test_histogram_interpolation;
           quick "mean and count" test_histogram_mean_count;
-          quick "reservoir cap" test_histogram_reservoir_cap;
           quick "empty raises" test_histogram_empty_raises ] );
       ( "timeseries",
         [ quick "basic" test_timeseries_basic;
@@ -383,6 +447,10 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_histogram_quantile_monotone;
+            prop_histogram_exact_quantiles;
+            prop_histogram_overflow_error;
+            prop_histogram_merge_is_concat;
+            prop_histogram_merge_count_sum;
             prop_stats_mean_bounds;
             prop_timeseries_slope_shift_invariant;
             prop_rng_shuffle_preserves_multiset ] ) ]

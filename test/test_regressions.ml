@@ -17,6 +17,7 @@ module Request = Dps_static.Request
 module Algorithm = Dps_static.Algorithm
 module Decay = Dps_mac.Decay
 module Timeseries = Dps_prelude.Timeseries
+module Histogram = Dps_prelude.Histogram
 module Stability = Dps_core.Stability
 
 (* --- Bug 1: Algorithm 2's stage-1 window read literally as q^i·n gives
@@ -283,6 +284,81 @@ let test_golden_overloaded_cleanup () =
        2125.; 2234.; 2316.; 2448.; 2554. |]
     r.Protocol.potential
 
+(* Scenario C: instruments never steer the run. A wireline line past
+   65536 deliveries once let the latency histogram's reservoir draw from
+   the protocol rng, shifting every later injection; with the exact
+   histogram the trajectory depends only on (seed, config) — identical
+   with telemetry off or on and for any packet-trace sampling.
+   Reproduces [dps_run --model=wireline --topology=line:6 --rate=0.3
+   --algorithm=oneshot --frames=600] (default seed and flows). *)
+let repro_run ?(telemetry = Dps_telemetry.Telemetry.disabled) ?packet_trace () =
+  let module Scenario = Dps_serve.Scenario in
+  let built =
+    Scenario.build
+      (Scenario.make ~algorithm:"oneshot" ~model:"wireline"
+         ~topology:"line:6" ~rate:0.3 ())
+  in
+  let g = built.Scenario.graph and measure = built.Scenario.measure in
+  let rng = Rng.create ~seed:2012 () in
+  (* dps_run's traffic: ten random routable flows, calibrated to the rate *)
+  let routing = Routing.make g in
+  let n = Graph.node_count g in
+  let gens = ref [] in
+  while List.length !gens < 10 do
+    let src = Rng.int rng n and dst = Rng.int rng n in
+    if src <> dst then
+      match Routing.path routing ~src ~dst with
+      | Some p when Path.length p <= built.Scenario.max_hops ->
+        gens := [ (p, 0.001) ] :: !gens
+      | _ -> ()
+  done;
+  let source =
+    Driver.Stochastic
+      (Stochastic.calibrate (Stochastic.make !gens) measure ~target:0.3)
+  in
+  let channel =
+    Channel.create ~rng:(Rng.split rng) ~telemetry ~oracle:built.Scenario.oracle
+      ~m:(Measure.size measure) ()
+  in
+  let protocol =
+    Protocol.create ~telemetry ?packet_trace built.Scenario.config ~channel
+  in
+  let r =
+    Driver.run_protocol_traced ~telemetry ~metrics_every:10 ~protocol ~source
+      ~frames:600 ~rng
+  in
+  ( r,
+    ( r.Protocol.injected,
+      r.Protocol.delivered,
+      Protocol.in_flight protocol,
+      Dps_sim.Trace.slots (Channel.trace channel) ) )
+
+let test_instruments_never_steer () =
+  let r, plain = repro_run () in
+  Alcotest.(check int) "injected" 71494 r.Protocol.injected;
+  Alcotest.(check int) "delivered" 71127 r.Protocol.delivered;
+  Alcotest.(check bool) "past the old 65536-sample cap" true
+    (r.Protocol.delivered > 65536);
+  let q p = Printf.sprintf "%.0f" (Histogram.quantile r.Protocol.latency p) in
+  Alcotest.(check (list string)) "latency p50/p90/p99"
+    [ "589"; "953"; "1042" ] [ q 0.5; q 0.9; q 0.99 ];
+  let observed ?packet_trace () =
+    let telemetry =
+      Dps_telemetry.Telemetry.make ~sinks:[ Dps_telemetry.Sink.null ] ()
+    in
+    snd (repro_run ~telemetry ?packet_trace ())
+  in
+  let same = Alcotest.(check (pair (pair int int) (pair int int))) in
+  let split (a, b, c, d) = ((a, b), (c, d)) in
+  same "telemetry on" (split plain) (split (observed ()));
+  List.iter
+    (fun k ->
+      same
+        (Printf.sprintf "packet trace K=%d" k)
+        (split plain)
+        (split (observed ~packet_trace:k ())))
+    [ 1; 7 ]
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "regressions"
@@ -290,7 +366,9 @@ let () =
         [ quick "measure-greedy + SINR power control (seed 4242)"
             test_golden_measure_greedy_sinr;
           quick "overloaded clean-up, conflict graph (seed 1717)"
-            test_golden_overloaded_cleanup ] );
+            test_golden_overloaded_cleanup;
+          quick "instruments never steer the run (seed 2012)"
+            test_instruments_never_steer ] );
       ( "fixed-bugs",
         [ quick "decay window exponent (Lemma 15 drift)" test_decay_drains_within_lemma15_budget;
           quick "linear growth detected unstable" test_linear_growth_is_unstable;
